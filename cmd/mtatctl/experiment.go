@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/hypothesis"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -103,7 +104,7 @@ func cmdExperimentRun(ctx context.Context, c *server.Client, args []string) erro
 		fleetAddr = fs.String("fleet", "", "run via this mtatfleet instead of mtatd (also $MTATFLEET_ADDR when -fleet '' is given explicitly)")
 		local     = fs.Bool("local", false, "run in-process, no daemon needed (slower wall clock: no fleet sharding)")
 		timeout   = fs.Duration("timeout", 0, "give up after this long (0 = forever)")
-		poll      = fs.Duration("poll", server.DefaultPollInterval, "max status poll interval")
+		poll      = fs.Duration("poll", daemonkit.DefaultPollInterval, "max status poll interval")
 		maxOutage = fs.Duration("max-outage", server.DefaultMaxOutage, "tolerated daemon unreachability before failing (node mode)")
 	)
 	if err := fs.Parse(args); err != nil {

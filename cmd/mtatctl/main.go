@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -285,7 +286,7 @@ func cmdInfo(ctx context.Context, c *server.Client) error {
 func cmdWait(ctx context.Context, c *server.Client, args []string) error {
 	fs := flag.NewFlagSet("mtatctl wait", flag.ContinueOnError)
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = forever)")
-	poll := fs.Duration("poll", server.DefaultPollInterval, "status poll interval")
+	poll := fs.Duration("poll", daemonkit.DefaultPollInterval, "status poll interval")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/cluster"
-	"github.com/tieredmem/mtat/internal/server"
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
 )
@@ -124,7 +124,7 @@ func cmdSweepSubmit(ctx context.Context, c *cluster.Client, args []string) error
 		specPath = fs.String("f", "", `sweep spec JSON file ("-" for stdin; required)`)
 		wait     = fs.Bool("wait", false, "block until the sweep finishes and report the outcome")
 		timeout  = fs.Duration("timeout", 0, "give up waiting after this long (0 = forever; implies -wait)")
-		poll     = fs.Duration("poll", server.DefaultPollInterval, "max status poll interval while waiting")
+		poll     = fs.Duration("poll", daemonkit.DefaultPollInterval, "max status poll interval while waiting")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -188,7 +188,7 @@ func cmdSweepStatus(ctx context.Context, c *cluster.Client, args []string) error
 func cmdSweepWait(ctx context.Context, c *cluster.Client, args []string) error {
 	fs := flag.NewFlagSet("mtatctl sweep wait", flag.ContinueOnError)
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = forever)")
-	poll := fs.Duration("poll", server.DefaultPollInterval, "max status poll interval")
+	poll := fs.Duration("poll", daemonkit.DefaultPollInterval, "max status poll interval")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -14,6 +14,7 @@ import (
 
 	"github.com/tieredmem/mtat/internal/backoff"
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/hypothesis"
 	"github.com/tieredmem/mtat/internal/server"
@@ -174,15 +175,11 @@ func (w *watcher) stream(ctx context.Context,
 // error that reconnecting cannot fix — 4xx except request-timeout and
 // rate-limit backpressure, which behave like transient outages.
 func definitiveErr(err error) bool {
-	code := 0
-	var se *server.APIError
-	var ce *cluster.APIError
-	switch {
-	case errors.As(err, &se):
-		code = se.StatusCode
-	case errors.As(err, &ce):
-		code = ce.StatusCode
+	var apiErr *daemonkit.APIError
+	if !errors.As(err, &apiErr) {
+		return false
 	}
+	code := apiErr.StatusCode
 	return code >= 400 && code < 500 &&
 		code != http.StatusRequestTimeout && code != http.StatusTooManyRequests
 }

@@ -17,90 +17,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/telemetry"
-	"github.com/tieredmem/mtat/internal/tenant"
 )
-
-// setupLogging installs a structured slog default logger on stderr —
-// the sink for both the API middleware's request lines and the fleet's
-// operational lines. Returns an error on an unknown level.
-func setupLogging(level, format string) error {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return fmt.Errorf("-log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	var h slog.Handler
-	switch strings.ToLower(format) {
-	case "text", "":
-		h = slog.NewTextHandler(os.Stderr, opts)
-	case "json":
-		h = slog.NewJSONHandler(os.Stderr, opts)
-	default:
-		return fmt.Errorf("-log-format %q: want text or json", format)
-	}
-	slog.SetDefault(slog.New(h))
-	return nil
-}
-
-// slogf adapts the structured default logger to the printf-style Logf
-// hook the fleet exposes.
-func slogf(format string, args ...any) {
-	slog.Info(fmt.Sprintf(format, args...))
-}
-
-// loadTenants builds the tenant registry from -tenants. An empty path
-// returns nil, which selects the permissive single-tenant registry —
-// fleets without the flag behave exactly as before multi-tenancy.
-func loadTenants(path string, tel *telemetry.Telemetry) (*tenant.Registry, error) {
-	if path == "" {
-		return nil, nil
-	}
-	cfg, err := tenant.LoadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("-tenants: %w", err)
-	}
-	reg, err := tenant.New(&cfg, tel)
-	if err != nil {
-		return nil, fmt.Errorf("-tenants: %w", err)
-	}
-	slog.Info("tenant config loaded", "path", path, "tenants", reg.Count())
-	return reg, nil
-}
-
-// reloadTenantsOnHUP hot-swaps the tenant set from path on every SIGHUP.
-// A config that no longer parses or validates keeps the previous set —
-// a bad edit must not lock every tenant out.
-func reloadTenantsOnHUP(path string, reg *tenant.Registry) {
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			cfg, err := tenant.LoadFile(path)
-			if err != nil {
-				slog.Error("tenant reload failed; keeping previous config", "path", path, "err", err)
-				continue
-			}
-			if err := reg.Reload(cfg); err != nil {
-				slog.Error("tenant reload failed; keeping previous config", "path", path, "err", err)
-				continue
-			}
-			slog.Info("tenant config reloaded", "path", path,
-				"tenants", reg.Count(), "generation", reg.Generation())
-		}
-	}()
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -134,7 +61,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	if err := setupLogging(*logLevel, *logFmt); err != nil {
+	if err := daemonkit.SetupLogging(*logLevel, *logFmt); err != nil {
 		return err
 	}
 	strategy, err := cluster.StrategyByName(*strategyName)
@@ -143,7 +70,7 @@ func run() error {
 	}
 
 	tel := telemetry.NewWithConfig(telemetry.Config{Service: "mtatfleet"})
-	treg, err := loadTenants(*tenants, tel)
+	treg, err := daemonkit.LoadTenants(*tenants, tel)
 	if err != nil {
 		return err
 	}
@@ -166,16 +93,14 @@ func run() error {
 		Fsync:            *fsync,
 		Tenants:          treg,
 		NodeToken:        *nodeToken,
-		Logf:             slogf,
+		Logf:             daemonkit.Logf,
 	})
 	if err != nil {
 		return fmt.Errorf("-data-dir: %w", err)
 	}
 	// SIGHUP re-reads the -tenants file and hot-swaps the tenant set —
 	// the same path as POST /api/v1/config/tenants, minus the network.
-	if *tenants != "" {
-		reloadTenantsOnHUP(*tenants, fleet.Tenants())
-	}
+	daemonkit.ReloadTenantsOnHUP(*tenants, fleet.Tenants(), nil)
 
 	for _, nodeAddr := range splitList(*nodes) {
 		info, err := fleet.Reg.Add(nodeAddr, 1)
@@ -193,8 +118,7 @@ func run() error {
 			"cells_left", st.Cells-st.Done-st.Failed, "cells", st.Cells)
 	}
 
-	srv, err := telemetry.Serve(*addr,
-		cluster.NewHandlerWith(fleet, tel, cluster.HandlerConfig{Pprof: *pprof}))
+	srv, err := telemetry.Serve(*addr, cluster.NewHandler(fleet, tel, *pprof))
 	if err != nil {
 		return fmt.Errorf("-addr: %w", err)
 	}
@@ -203,20 +127,7 @@ func run() error {
 	fmt.Printf("mtatfleet: listening on http://%s (%d nodes, parallel %d)\n",
 		srv.Addr(), len(fleet.Reg.Nodes()), *parallel)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-
-	slog.Info("shutting down", "drain", drain.String())
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := fleet.Shutdown(drainCtx); err != nil {
-		slog.Warn("drain deadline hit, running sweeps cancelled")
-	}
-	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelHTTP()
-	return srv.Shutdown(httpCtx)
+	return daemonkit.ServeUntilSignal(srv, fleet, *drain, "running sweeps")
 }
 
 func splitList(s string) []string {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
 )
@@ -22,7 +23,7 @@ func newTestFleetAPI(t *testing.T, nodes ...*testNode) (*Fleet, *Client) {
 	t.Helper()
 	tel := telemetry.New()
 	f := newTestFleet(t, tel, nodes...)
-	srv := httptest.NewServer(NewHandler(f, tel))
+	srv := httptest.NewServer(NewHandler(f, tel, true))
 	t.Cleanup(srv.Close)
 	return f, NewClient(srv.URL)
 }
@@ -141,7 +142,7 @@ func TestAPINodeAdmin(t *testing.T) {
 		t.Fatalf("added node = %+v", info)
 	}
 
-	var apiErr *APIError
+	var apiErr *daemonkit.APIError
 	if _, err := c.AddNode(ctx, node.srv.URL, 1); !errors.As(err, &apiErr) ||
 		apiErr.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate add error = %v, want 409", err)
@@ -167,7 +168,7 @@ func TestAPINodeAdmin(t *testing.T) {
 func TestAPIErrors(t *testing.T) {
 	_, c := newTestFleetAPI(t)
 	ctx := context.Background()
-	var apiErr *APIError
+	var apiErr *daemonkit.APIError
 
 	if _, err := c.Sweep(ctx, "s999999"); !errors.As(err, &apiErr) ||
 		apiErr.StatusCode != http.StatusNotFound {
@@ -202,14 +203,15 @@ func TestAPIErrors(t *testing.T) {
 }
 
 // TestAPIPprofGating mirrors the server-side test: the fleet's profiling
-// surface must 404 unless HandlerConfig enables it (mtatfleet -pprof).
+// surface must 404 unless NewHandler's pprof switch enables it
+// (mtatfleet -pprof).
 func TestAPIPprofGating(t *testing.T) {
 	tel := telemetry.New()
 	f := newTestFleet(t, tel)
 
-	gated := httptest.NewServer(NewHandlerWith(f, tel, HandlerConfig{Pprof: false}))
+	gated := httptest.NewServer(NewHandler(f, tel, false))
 	defer gated.Close()
-	open := httptest.NewServer(NewHandlerWith(f, tel, HandlerConfig{Pprof: true}))
+	open := httptest.NewServer(NewHandler(f, tel, true))
 	defer open.Close()
 
 	for srvURL, want := range map[string]int{

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/backoff"
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -33,7 +34,7 @@ type DispatcherConfig struct {
 	// selects DefaultMaxNodeAttempts).
 	MaxNodeAttempts int
 	// PollMax caps the remote run-status polling interval (<= 0 selects
-	// server.DefaultPollInterval).
+	// daemonkit.DefaultPollInterval).
 	PollMax time.Duration
 	// Telemetry is the fleet-level sink for dispatch metrics and retry
 	// events. Nil disables them.
@@ -70,7 +71,7 @@ func NewDispatcher(reg *Registry, cfg DispatcherConfig) *Dispatcher {
 		cfg.MaxNodeAttempts = DefaultMaxNodeAttempts
 	}
 	if cfg.PollMax <= 0 {
-		cfg.PollMax = server.DefaultPollInterval
+		cfg.PollMax = daemonkit.DefaultPollInterval
 	}
 	if !cfg.Retry.NoJitter {
 		cfg.Retry.FullJitter = true
@@ -224,6 +225,6 @@ func (d *Dispatcher) DoAs(ctx context.Context, spec sim.RunSpec, onBehalfOf stri
 // isSpecRejection reports whether a submit error is a 400 — the spec is
 // invalid everywhere, so retrying on other nodes is pointless.
 func isSpecRejection(err error) bool {
-	var apiErr *server.APIError
+	var apiErr *daemonkit.APIError
 	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusBadRequest
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"github.com/tieredmem/mtat/internal/telemetry"
+	"github.com/tieredmem/mtat/internal/tenant"
 )
 
 // Live event publishing: the fleet forwards sweep lifecycle transitions
@@ -35,7 +36,7 @@ func (f *Fleet) publishSweepLocked(sw *sweep) {
 	f.bus.Publish(telemetry.BusEvent{
 		Topic:  topic,
 		Kind:   telemetry.EvBusSweepState,
-		Tenant: tenantName(sw.tn),
+		Tenant: tenant.NameOf(sw.tn),
 		Data:   st,
 	})
 }
@@ -50,22 +51,11 @@ func (f *Fleet) publishCellLocked(sw *sweep, s CellSummary) {
 	f.bus.Publish(telemetry.BusEvent{
 		Topic:  topic,
 		Kind:   telemetry.EvBusCellSettled,
-		Tenant: tenantName(sw.tn),
+		Tenant: tenant.NameOf(sw.tn),
 		Data:   s,
 	})
 }
 
 // SyncBusMetrics mirrors the bus's cumulative publish/overflow
 // accounting into the fleet registry. Called when an SSE stream ends.
-func (f *Fleet) SyncBusMetrics() {
-	reg := f.tel.Metrics()
-	syncFleetCounter(reg.Counter(telemetry.MetricBusPublished), int64(f.bus.Published()))
-	syncFleetCounter(reg.Counter(telemetry.MetricBusDropped), int64(f.bus.Dropped()))
-}
-
-// syncFleetCounter raises a counter to match a monotonic source value.
-func syncFleetCounter(c *telemetry.Counter, want int64) {
-	if delta := want - c.Value(); delta > 0 {
-		c.Add(delta)
-	}
-}
+func (f *Fleet) SyncBusMetrics() { f.bus.SyncMetrics(f.tel.Metrics()) }

@@ -42,7 +42,7 @@ func TestFederateMergesLiveNodesAndMarksKilledStale(t *testing.T) {
 	n2 := newTestNode(t, 2)
 	f := newTestFleet(t, tel, n1, n2)
 	f.Federator().Timeout = 500 * time.Millisecond
-	fleetSrv := httptest.NewServer(NewHandler(f, tel))
+	fleetSrv := httptest.NewServer(NewHandler(f, tel, true))
 	defer fleetSrv.Close()
 
 	// A finished sweep gives both nodes real run metrics and HTTP
@@ -146,7 +146,7 @@ func TestSweepSSEStream(t *testing.T) {
 	tel := telemetry.New()
 	n1 := newTestNode(t, 2)
 	f := newTestFleet(t, tel, n1)
-	fleetSrv := httptest.NewServer(NewHandler(f, tel))
+	fleetSrv := httptest.NewServer(NewHandler(f, tel, true))
 	defer fleetSrv.Close()
 	fc := NewClient(fleetSrv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

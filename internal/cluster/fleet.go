@@ -371,7 +371,7 @@ func (f *Fleet) SubmitCtx(ctx context.Context, spec sim.SweepSpec) (SweepStatus,
 		err := f.jn.Append(recSweepSubmitted, sweepSubmittedRec{
 			ID: sw.id, Name: sw.name, Spec: spec, SubmittedAt: sw.submitted,
 			Trace:  fleetTraceOrEmpty(sw.trace),
-			Tenant: tenantName(sw.tn),
+			Tenant: tenant.NameOf(sw.tn),
 		})
 		jspan.End(err)
 		if err != nil {
@@ -500,7 +500,7 @@ func (f *Fleet) runCell(ctx context.Context, sw *sweep, cr *cellRun) {
 		ctx, span = f.tel.Spans().StartSpan(ctx, "cell.dispatch",
 			telemetry.SA("sweep", sw.id), telemetry.SA("cell", cr.cell.Label))
 	}
-	res, err := f.disp.DoAs(ctx, cr.cell.Spec, tenantName(sw.tn))
+	res, err := f.disp.DoAs(ctx, cr.cell.Spec, tenant.NameOf(sw.tn))
 	span.SetAttr("node", res.Node)
 	span.End(err)
 
@@ -732,16 +732,6 @@ func (f *Fleet) Ready() (bool, string) {
 // when the fleet was built without a tenant config).
 func (f *Fleet) Tenants() *tenant.Registry { return f.tenants }
 
-// tenantName renders a tenant for journal records and status JSON: ""
-// for nil and for the anonymous tenant, so single-tenant deployments
-// produce byte-identical records to pre-tenancy builds.
-func tenantName(t *tenant.Tenant) string {
-	if t == nil || t.Name() == tenant.AnonymousName {
-		return ""
-	}
-	return t.Name()
-}
-
 // fleetTraceOrEmpty renders a trace ID for a journal record, "" when
 // unset.
 func fleetTraceOrEmpty(id telemetry.TraceID) string {
@@ -815,7 +805,7 @@ func (f *Fleet) statusLocked(sw *sweep) SweepStatus {
 		Cells:       len(sw.cells),
 		SubmittedAt: sw.submitted,
 		Trace:       fleetTraceOrEmpty(sw.trace),
-		Tenant:      tenantName(sw.tn),
+		Tenant:      tenant.NameOf(sw.tn),
 	}
 	if !sw.finished.IsZero() {
 		t := sw.finished

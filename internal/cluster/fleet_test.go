@@ -27,7 +27,7 @@ func newTestNode(t *testing.T, workers int) *testNode {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	srv := httptest.NewServer(server.NewHandler(mgr, tel))
+	srv := httptest.NewServer(server.NewHandler(mgr, tel, true))
 	n := &testNode{mgr: mgr, srv: srv}
 	t.Cleanup(func() { n.kill(t) })
 	return n

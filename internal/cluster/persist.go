@@ -10,6 +10,7 @@ import (
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
+	"github.com/tieredmem/mtat/internal/tenant"
 )
 
 // Journal record types written by the fleet. Deltas follow the sweep
@@ -288,7 +289,7 @@ func (f *Fleet) snapshotLocked() fleetSnapshot {
 		ss := sweepSnapshot{
 			ID: sw.id, Name: sw.name, Spec: sw.spec, State: sw.state,
 			SubmittedAt: sw.submitted, Trace: fleetTraceOrEmpty(sw.trace),
-			Tenant: tenantName(sw.tn),
+			Tenant: tenant.NameOf(sw.tn),
 		}
 		if !sw.finished.IsZero() {
 			t := sw.finished

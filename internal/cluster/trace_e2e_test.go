@@ -22,12 +22,12 @@ func TestDistributedTraceTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	nodeSrv := httptest.NewServer(server.NewHandler(mgr, nodeTel))
+	nodeSrv := httptest.NewServer(server.NewHandler(mgr, nodeTel, true))
 	t.Cleanup(nodeSrv.Close)
 
 	fleetTel := telemetry.NewWithConfig(telemetry.Config{Service: "mtatfleet"})
 	f := newTestFleetCfg(t, FleetConfig{Telemetry: fleetTel})
-	fleetSrv := httptest.NewServer(NewHandler(f, fleetTel))
+	fleetSrv := httptest.NewServer(NewHandler(f, fleetTel, true))
 	t.Cleanup(fleetSrv.Close)
 
 	ctx := context.Background()

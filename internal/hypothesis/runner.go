@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/cluster"
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/server"
 	"github.com/tieredmem/mtat/internal/sim"
@@ -57,7 +58,7 @@ func (b *NodeBackend) Submit(ctx context.Context, spec sim.RunSpec) (server.RunS
 		if ctx.Err() != nil {
 			return server.RunStatus{}, ctx.Err()
 		}
-		var apiErr *server.APIError
+		var apiErr *daemonkit.APIError
 		if errors.As(err, &apiErr) &&
 			apiErr.StatusCode != http.StatusTooManyRequests &&
 			apiErr.StatusCode != http.StatusServiceUnavailable {
@@ -501,7 +502,7 @@ func loadKind(l *sim.LoadSpec) string {
 // isRunGone reports a definitive "this run no longer exists" answer,
 // from either transport (HTTP 404) or an in-process manager.
 func isRunGone(err error) bool {
-	var apiErr *server.APIError
+	var apiErr *daemonkit.APIError
 	if errors.As(err, &apiErr) {
 		return apiErr.StatusCode == http.StatusNotFound
 	}

@@ -243,7 +243,7 @@ func TestRunnerFleet(t *testing.T) {
 	// stack (registry + dispatcher + node), map summaries back to arms.
 	tel := telemetry.New()
 	mgr := newTestManager(t)
-	nodeSrv := httptest.NewServer(server.NewHandler(mgr, tel))
+	nodeSrv := httptest.NewServer(server.NewHandler(mgr, tel, true))
 	defer nodeSrv.Close()
 
 	fleet, err := cluster.NewFleet(cluster.FleetConfig{Telemetry: tel, Logf: t.Logf})
@@ -258,7 +258,7 @@ func TestRunnerFleet(t *testing.T) {
 	if _, err := fleet.Reg.Add(nodeSrv.URL, 1); err != nil {
 		t.Fatal(err)
 	}
-	fleetSrv := httptest.NewServer(cluster.NewHandler(fleet, tel))
+	fleetSrv := httptest.NewServer(cluster.NewHandler(fleet, tel, true))
 	defer fleetSrv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)

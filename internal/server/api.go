@@ -1,15 +1,14 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
 
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
 	"github.com/tieredmem/mtat/internal/tenant"
@@ -30,20 +29,7 @@ type Meta struct {
 	Workers     int      `json:"workers"`
 }
 
-// HandlerConfig tunes the optional surfaces of the control-plane API.
-type HandlerConfig struct {
-	// Pprof mounts the Go profiling endpoints under /debug/pprof/. The
-	// daemons keep it off unless launched with -pprof; NewHandler turns
-	// it on for embedded/test use.
-	Pprof bool
-}
-
-// NewHandler is NewHandlerWith with every optional surface enabled.
-func NewHandler(m *Manager, tel *telemetry.Telemetry) http.Handler {
-	return NewHandlerWith(m, tel, HandlerConfig{Pprof: true})
-}
-
-// NewHandlerWith builds the control-plane HTTP API around a manager:
+// NewHandler builds the control-plane HTTP API around a manager:
 //
 //	POST   /api/v1/runs             submit a RunSpec (202; 400 invalid, 429 queue full, 503 draining)
 //	GET    /api/v1/runs             list retained runs
@@ -51,34 +37,30 @@ func NewHandler(m *Manager, tel *telemetry.Telemetry) http.Handler {
 //	GET    /api/v1/runs/{id}/events the run's private trace as JSONL — or, with
 //	                                Accept: text/event-stream, a live SSE feed of
 //	                                lifecycle/flight/stats events (Last-Event-ID resume)
-//	GET    /api/v1/events           SSE firehose of every topic, tenant-scoped
 //	GET    /api/v1/runs/{id}/flight the run's flight-recorder dump (JSON; ?after=<seq>
 //	                                returns only events newer than the cursor)
 //	DELETE /api/v1/runs/{id}        cancel a queued or running run
 //	GET    /api/v1/status           node load signal (queue depth, active runs, store occupancy)
 //	GET    /api/v1/meta             valid workload/policy/load names
-//	GET    /api/v1/traces           retained distributed traces (summaries, NDJSON)
-//	GET    /api/v1/traces/{id}      one trace's spans as JSONL
-//	GET    /healthz                 liveness probe
-//	GET    /readyz                  readiness probe (replay done, queue has headroom)
 //
-// tel is the daemon-level telemetry sink; its handler is mounted at
-// /metrics and /trace (nil serves empty snapshots) — plus /debug/pprof/
-// when cfg.Pprof is set — and every route is wrapped in
-// telemetry.Middleware for request metrics, server spans, and structured
-// logs.
-func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) http.Handler {
+// plus the routes shared with mtatfleet (daemonkit.Handler): the SSE
+// firehose, traces, tenants and config reload, the probes (/readyz
+// demands replay done and queue headroom), /metrics, /trace, and
+// /debug/pprof/ when pprof is set (mtatd -pprof). tel is the
+// daemon-level telemetry sink. A successful tenant config reload wakes
+// the fair-share queue.
+func NewHandler(m *Manager, tel *telemetry.Telemetry, pprof bool) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /api/v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+			daemonkit.WriteError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 			return
 		}
 		spec, err := sim.ParseRunSpec(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			daemonkit.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		st, err := m.SubmitCtx(r.Context(), spec)
@@ -86,32 +68,32 @@ func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) htt
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
+			daemonkit.WriteError(w, http.StatusTooManyRequests, err)
 		case errors.As(err, &qe):
 			// Per-tenant admission rejection: tell the client when its
 			// rate bucket refills (or a generic hint for quota/cost).
 			w.Header().Set("Retry-After", tenant.RetryAfterSeconds(qe.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, err)
+			daemonkit.WriteError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, err)
+			daemonkit.WriteError(w, http.StatusServiceUnavailable, err)
 		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
+			daemonkit.WriteError(w, http.StatusBadRequest, err)
 		default:
-			writeJSON(w, http.StatusAccepted, st)
+			daemonkit.WriteJSON(w, http.StatusAccepted, st)
 		}
 	})
 
 	mux.HandleFunc("GET /api/v1/runs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.List())
+		daemonkit.WriteJSON(w, http.StatusOK, m.List())
 	})
 
 	mux.HandleFunc("GET /api/v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Get(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemonkit.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		daemonkit.WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /api/v1/runs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -122,7 +104,7 @@ func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) htt
 		// trace dump that `mtatctl logs` and scripted consumers expect.
 		if wantsSSE(r) {
 			if _, err := m.Get(id); err != nil {
-				writeError(w, http.StatusNotFound, err)
+				daemonkit.WriteError(w, http.StatusNotFound, err)
 				return
 			}
 			telemetry.ServeSSE(w, r, m.Bus(), runTopic(id), nil)
@@ -131,7 +113,7 @@ func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) htt
 		}
 		tr, err := m.Events(id)
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemonkit.WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -141,17 +123,10 @@ func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) htt
 		}
 	})
 
-	// Firehose: every topic on this daemon, scoped to the caller's
-	// tenant unless it is an admin (or the daemon runs permissive).
-	mux.HandleFunc("GET /api/v1/events", func(w http.ResponseWriter, r *http.Request) {
-		telemetry.ServeSSE(w, r, m.Bus(), "", tenantEventFilter(m, r))
-		m.SyncBusMetrics()
-	})
-
 	mux.HandleFunc("GET /api/v1/runs/{id}/flight", func(w http.ResponseWriter, r *http.Request) {
 		fl, err := m.Flight(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemonkit.WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		m.SyncFlightDrops(r.PathValue("id"))
@@ -161,7 +136,7 @@ func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) htt
 		if v := r.URL.Query().Get("after"); v != "" {
 			after, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad after cursor %q: %w", v, err))
+				daemonkit.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad after cursor %q: %w", v, err))
 				return
 			}
 			_ = fl.WriteJSONAfter(w, after)
@@ -173,18 +148,18 @@ func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) htt
 	mux.HandleFunc("DELETE /api/v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Cancel(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			daemonkit.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		daemonkit.WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /api/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Stats())
+		daemonkit.WriteJSON(w, http.StatusOK, m.Stats())
 	})
 
 	mux.HandleFunc("GET /api/v1/meta", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Meta{
+		daemonkit.WriteJSON(w, http.StatusOK, Meta{
 			LCWorkloads: workload.LCNames(),
 			BEWorkloads: workload.BENames(),
 			Policies:    sim.PolicyNames(),
@@ -193,137 +168,31 @@ func NewHandlerWith(m *Manager, tel *telemetry.Telemetry, cfg HandlerConfig) htt
 		})
 	})
 
-	// Distributed-trace surface: the spans this daemon retains, listed
-	// and fetched per trace (mtatctl trace merges them across daemons).
-	mux.HandleFunc("GET /api/v1/traces", tel.ServeTraceList)
-	mux.HandleFunc("GET /api/v1/traces/{id}", tel.ServeTrace)
-
-	// Tenancy surface: usage snapshots for every tenant, and the admin
-	// hot-reload endpoint (live config push without a restart; SIGHUP on
-	// the daemon re-reads the -tenants file through the same path).
-	mux.HandleFunc("GET /api/v1/tenants", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Tenants().List())
-	})
-	mux.HandleFunc("POST /api/v1/config/tenants", func(w http.ResponseWriter, r *http.Request) {
-		t := tenant.FromContext(r.Context())
-		if t == nil || !t.IsAdmin() {
-			writeError(w, http.StatusForbidden, errors.New("tenant config reload requires an admin tenant"))
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-			return
-		}
-		cfg, err := tenant.ParseConfig(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := m.Tenants().Reload(cfg); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		m.TenantsReloaded()
-		writeJSON(w, http.StatusOK, tenant.ReloadResult{
-			Tenants:    m.Tenants().Count(),
-			Generation: m.Tenants().Generation(),
-		})
-	})
-
-	// Probes: /healthz is pure liveness; /readyz additionally demands
-	// journal replay done (implied by the manager existing) and admission
-	// headroom, so orchestration and CI gate traffic on it.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if ok, reason := m.Ready(); !ok {
-			http.Error(w, reason, http.StatusServiceUnavailable)
-			return
-		}
-		io.WriteString(w, "ready\n")
-	})
-
-	// Daemon-level observability: the existing telemetry handler serves
-	// the debug surface (/metrics and /trace snapshots, pprof under
-	// /debug/pprof/ when enabled).
-	th := tel.Handler()
-	mux.Handle("/metrics", th)
-	mux.Handle("/trace", th)
-	if cfg.Pprof {
-		mux.Handle("/debug/", th)
-	}
-
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			writeError(w, http.StatusNotFound, errors.New("no such endpoint"))
-			return
-		}
-		fmt.Fprint(w, "mtatd control plane\n\n"+
-			"POST   /api/v1/runs\n"+
-			"GET    /api/v1/runs\n"+
-			"GET    /api/v1/runs/{id}\n"+
-			"GET    /api/v1/runs/{id}/events  (Accept: text/event-stream for live SSE)\n"+
-			"GET    /api/v1/runs/{id}/flight  (?after=<seq> cursor)\n"+
-			"GET    /api/v1/events  (SSE firehose)\n"+
-			"DELETE /api/v1/runs/{id}\n"+
-			"GET    /api/v1/status\n"+
-			"GET    /api/v1/meta\n"+
-			"GET    /api/v1/traces\n"+
-			"GET    /api/v1/traces/{id}\n"+
-			"GET    /api/v1/tenants\n"+
-			"POST   /api/v1/config/tenants  (admin)\n"+
-			"GET    /healthz\n"+
-			"GET    /readyz\n"+
-			"GET    /metrics  (?format=prom for Prometheus text)\n"+
-			"GET    /trace\n"+
-			"GET    /debug/pprof/  (with -pprof)\n")
-	})
-
-	// Every route passes through the shared instrumentation (per-route
-	// latency histograms, status-class counters, the in-flight gauge, a
-	// server span per request joined to the caller's trace, one
-	// structured request log line) and then tenant authentication: the
-	// telemetry middleware runs outermost so 401s are metered and
-	// logged like any other response.
-	return telemetry.Middleware(tel, slog.Default())(tenant.Middleware(m.Tenants(), mux))
+	return daemonkit.Handler(mux, m, tel, pprof, index, m.TenantsReloaded)
 }
+
+// index is the body of GET /.
+const index = "mtatd control plane\n\n" +
+	"POST   /api/v1/runs\n" +
+	"GET    /api/v1/runs\n" +
+	"GET    /api/v1/runs/{id}\n" +
+	"GET    /api/v1/runs/{id}/events  (Accept: text/event-stream for live SSE)\n" +
+	"GET    /api/v1/runs/{id}/flight  (?after=<seq> cursor)\n" +
+	"GET    /api/v1/events  (SSE firehose)\n" +
+	"DELETE /api/v1/runs/{id}\n" +
+	"GET    /api/v1/status\n" +
+	"GET    /api/v1/meta\n" +
+	"GET    /api/v1/traces\n" +
+	"GET    /api/v1/traces/{id}\n" +
+	"GET    /api/v1/tenants\n" +
+	"POST   /api/v1/config/tenants  (admin)\n" +
+	"GET    /healthz\n" +
+	"GET    /readyz\n" +
+	"GET    /metrics  (?format=prom for Prometheus text)\n" +
+	"GET    /trace\n" +
+	"GET    /debug/pprof/  (with -pprof)\n"
 
 // wantsSSE reports whether the request negotiated a live event stream.
 func wantsSSE(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), telemetry.SSEContentType)
-}
-
-// tenantEventFilter scopes the firehose to the caller's own events: a
-// named non-admin tenant sees only its own topics; admins — and every
-// caller on a permissive daemon (no tenant config) — see everything.
-func tenantEventFilter(m *Manager, r *http.Request) func(telemetry.BusEvent) bool {
-	t := tenant.FromContext(r.Context())
-	if t == nil || t.IsAdmin() || m.Tenants().Count() == 0 {
-		return nil
-	}
-	name := tenantName(t)
-	return func(ev telemetry.BusEvent) bool { return ev.Tenant == name }
-}
-
-// apiError is the JSON error envelope.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	msg := "unknown error"
-	if err != nil {
-		msg = strings.TrimSpace(err.Error())
-	}
-	writeJSON(w, code, apiError{Error: msg})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/telemetry"
 )
@@ -19,7 +20,7 @@ func newTestAPI(t *testing.T, cfg Config) (*Client, *Manager) {
 	tel := telemetry.New()
 	cfg.Telemetry = tel
 	m := newTestManager(t, cfg)
-	srv := httptest.NewServer(NewHandler(m, tel))
+	srv := httptest.NewServer(NewHandler(m, tel, true))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
@@ -82,7 +83,7 @@ func TestAPIValidationAndNotFound(t *testing.T) {
 	bad := shortSpec(1)
 	bad.Policy = "lru"
 	_, err := c.Submit(ctx, bad)
-	apiErr, ok := err.(*APIError)
+	apiErr, ok := err.(*daemonkit.APIError)
 	if !ok || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad policy submit: %v", err)
 	}
@@ -96,7 +97,7 @@ func TestAPIValidationAndNotFound(t *testing.T) {
 		func() error { return c.Events(ctx, "r999999", &bytes.Buffer{}) },
 	} {
 		err := probe()
-		apiErr, ok := err.(*APIError)
+		apiErr, ok := err.(*daemonkit.APIError)
 		if !ok || apiErr.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown run probe: %v", err)
 		}
@@ -117,7 +118,7 @@ func TestAPIQueueFull429(t *testing.T) {
 		t.Fatalf("queue slot submit: %v", err)
 	}
 	_, err = c.Submit(ctx, longSpec(3))
-	apiErr, ok := err.(*APIError)
+	apiErr, ok := err.(*daemonkit.APIError)
 	if !ok || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %v, want HTTP 429", err)
 	}
@@ -159,7 +160,7 @@ func TestAPIShutdown503(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := c.Submit(ctx, shortSpec(1))
-	apiErr, ok := err.(*APIError)
+	apiErr, ok := err.(*daemonkit.APIError)
 	if !ok || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown submit: %v, want HTTP 503", err)
 	}
@@ -200,15 +201,14 @@ func TestAPIFlightDump(t *testing.T) {
 	}
 
 	err = c.Flight(ctx, "r999999", &bytes.Buffer{})
-	apiErr, ok := err.(*APIError)
+	apiErr, ok := err.(*daemonkit.APIError)
 	if !ok || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown run flight: %v, want HTTP 404", err)
 	}
 }
 
-// TestAPIPprofGating checks the HandlerConfig switch: the profiling
-// surface must 404 unless explicitly enabled (mtatd -pprof), while
-// NewHandler keeps it on for embedded/test use.
+// TestAPIPprofGating checks NewHandler's pprof switch: the profiling
+// surface must 404 unless explicitly enabled (mtatd -pprof).
 func TestAPIPprofGating(t *testing.T) {
 	tel := telemetry.New()
 	m := newTestManager(t, Config{Workers: 1, Telemetry: tel})
@@ -218,9 +218,9 @@ func TestAPIPprofGating(t *testing.T) {
 		_ = m.Shutdown(ctx)
 	}()
 
-	gated := httptest.NewServer(NewHandlerWith(m, tel, HandlerConfig{Pprof: false}))
+	gated := httptest.NewServer(NewHandler(m, tel, false))
 	defer gated.Close()
-	open := httptest.NewServer(NewHandlerWith(m, tel, HandlerConfig{Pprof: true}))
+	open := httptest.NewServer(NewHandler(m, tel, true))
 	defer open.Close()
 
 	for srvURL, want := range map[string]int{

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/tieredmem/mtat/internal/daemonkit"
 )
 
 // TestClientStatus round-trips the load signal through the real API.
@@ -45,7 +47,7 @@ func TestClientStatus(t *testing.T) {
 	}
 }
 
-// TestClient429Backpressure asserts a full queue surfaces as *APIError
+// TestClient429Backpressure asserts a full queue surfaces as *daemonkit.APIError
 // with StatusTooManyRequests and a Retry-After header on the wire.
 func TestClient429Backpressure(t *testing.T) {
 	c, m := newTestAPI(t, Config{Workers: 1, QueueCap: 1})
@@ -61,7 +63,7 @@ func TestClient429Backpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = c.Submit(ctx, longSpec(3))
-	var apiErr *APIError
+	var apiErr *daemonkit.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit err = %v, want 429 APIError", err)
 	}
@@ -101,7 +103,7 @@ func TestClientConnectionRefused(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s against dead addr succeeded", name)
 		}
-		var apiErr *APIError
+		var apiErr *daemonkit.APIError
 		if errors.As(err, &apiErr) {
 			t.Errorf("%s: connection error decoded as APIError %v", name, apiErr)
 		}
@@ -129,7 +131,7 @@ func TestClientMalformedBody(t *testing.T) {
 	defer srvErr.Close()
 	cErr := NewClient(srvErr.URL)
 	_, err := cErr.Run(ctx, "r000001")
-	var apiErr *APIError
+	var apiErr *daemonkit.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadGateway {
 		t.Fatalf("err = %v, want 502 APIError", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/telemetry"
+	"github.com/tieredmem/mtat/internal/tenant"
 )
 
 // Live event publishing: the manager forwards run lifecycle
@@ -63,7 +64,7 @@ func (m *Manager) publishRunLocked(r *run) {
 	m.bus.Publish(telemetry.BusEvent{
 		Topic:  topic,
 		Kind:   telemetry.EvBusRunState,
-		Tenant: tenantName(r.tn),
+		Tenant: tenant.NameOf(r.tn),
 		Data:   r.status(),
 	})
 }
@@ -97,7 +98,7 @@ func (m *Manager) sampleRunStats(r *run, stop <-chan struct{}) {
 		interval = DefaultStatsInterval
 	}
 	topic := runTopic(r.id)
-	tn := tenantName(r.tn)
+	tn := tenant.NameOf(r.tn)
 	reg := r.tel.Metrics()
 	cTicks := reg.Counter(telemetry.MetricSimTicks)
 	cViol := reg.Counter(telemetry.MetricSimViolations)
@@ -152,15 +153,12 @@ func (m *Manager) sampleRunStats(r *run, stop <-chan struct{}) {
 // only created once the run actually dropped, so the registry does not
 // accumulate a zero series per run. Callers hold m.mu.
 func (m *Manager) syncFlightDropsLocked(r *run) {
-	d := int64(r.flight.Dropped())
+	d := r.flight.Dropped()
 	if d == 0 {
 		return
 	}
-	c := m.cfg.Telemetry.Metrics().Counter(
-		telemetry.SeriesName(telemetry.MetricFlightDropped, "run", r.id))
-	if delta := d - c.Value(); delta > 0 {
-		c.Add(delta)
-	}
+	m.cfg.Telemetry.Metrics().Counter(
+		telemetry.SeriesName(telemetry.MetricFlightDropped, "run", r.id)).RaiseTo(d)
 }
 
 // SyncFlightDrops mirrors one run's flight-ring loss into the daemon
@@ -177,15 +175,4 @@ func (m *Manager) SyncFlightDrops(id string) {
 // accounting into the daemon registry. Called when an SSE stream ends
 // and at run finish — often enough for scrape freshness without a
 // dedicated goroutine.
-func (m *Manager) SyncBusMetrics() {
-	reg := m.cfg.Telemetry.Metrics()
-	syncCounterTo(reg.Counter(telemetry.MetricBusPublished), int64(m.bus.Published()))
-	syncCounterTo(reg.Counter(telemetry.MetricBusDropped), int64(m.bus.Dropped()))
-}
-
-// syncCounterTo raises a counter to match a monotonic source value.
-func syncCounterTo(c *telemetry.Counter, want int64) {
-	if delta := want - c.Value(); delta > 0 {
-		c.Add(delta)
-	}
-}
+func (m *Manager) SyncBusMetrics() { m.bus.SyncMetrics(m.cfg.Telemetry.Metrics()) }

@@ -156,16 +156,6 @@ type run struct {
 	cost float64
 }
 
-// tenantName renders a run's owner for statuses and journal records,
-// "" for the anonymous tenant (keeping records byte-compatible with
-// pre-tenant journals in the common single-tenant case).
-func tenantName(t *tenant.Tenant) string {
-	if t == nil || t.Name() == tenant.AnonymousName {
-		return ""
-	}
-	return t.Name()
-}
-
 // Manager owns the submission queue, the worker pool, and the run
 // registry. All methods are safe for concurrent use.
 type Manager struct {
@@ -425,7 +415,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 		}
 		rec := runSubmittedRec{
 			ID: r.id, Spec: r.spec, SubmittedAt: r.submitted,
-			Trace: traceOrEmpty(r.trace), Tenant: tenantName(tn),
+			Trace: traceOrEmpty(r.trace), Tenant: tenant.NameOf(tn),
 		}
 		if err := m.jn.Append(recRunSubmitted, rec); err != nil {
 			jspan.End(err)
@@ -437,7 +427,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 		}
 		jspan.End(nil)
 	}
-	r.flight.SetSink(m.flightSink(r.id, tenantName(tn)))
+	r.flight.SetSink(m.flightSink(r.id, tenant.NameOf(tn)))
 	m.queue.Push(tn, r)
 	m.runs[r.id] = r
 	m.order = append(m.order, r.id)
@@ -713,7 +703,7 @@ func (m *Manager) finishLocked(r *run, st State, msg string, res *sim.Result) {
 	m.finished = append(m.finished, r.id)
 	m.journalLocked(recRunFinished, runFinishedRec{
 		ID: r.id, State: st, Error: msg, FinishedAt: r.finished,
-		Result: summarizeOrNil(res), Tenant: tenantName(r.tn),
+		Result: summarizeOrNil(res), Tenant: tenant.NameOf(r.tn),
 	})
 	m.syncFlightDropsLocked(r)
 	m.publishRunLocked(r)

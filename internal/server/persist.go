@@ -10,6 +10,7 @@ import (
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
+	"github.com/tieredmem/mtat/internal/tenant"
 )
 
 // Journal record types written by the manager. Deltas follow the run
@@ -197,7 +198,7 @@ func (m *Manager) restore(rs *replayState) []*run {
 			r.state = StateQueued
 			r.tel = newRunTelemetry(m.cfg)
 			r.flight = flight.New(m.cfg.FlightCapacity)
-			r.flight.SetSink(m.flightSink(r.id, tenantName(r.tn)))
+			r.flight.SetSink(m.flightSink(r.id, tenant.NameOf(r.tn)))
 			r.ctx, r.cancel = newRunContext()
 			r.done = make(chan struct{})
 			pending = append(pending, r)

@@ -59,7 +59,7 @@ func TestSSEResumeAcrossDisconnect(t *testing.T) {
 		StatsInterval: 20 * time.Millisecond,
 	})
 	defer shutdownOrFail(t, m, 10*time.Second)
-	srv := httptest.NewServer(NewHandler(m, tel))
+	srv := httptest.NewServer(NewHandler(m, tel, true))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -134,7 +134,7 @@ func TestSSEContentNegotiation(t *testing.T) {
 	tel := telemetry.New()
 	m := newTestManager(t, Config{Workers: 1, QueueCap: 8, Telemetry: tel})
 	defer shutdownOrFail(t, m, 10*time.Second)
-	srv := httptest.NewServer(NewHandler(m, tel))
+	srv := httptest.NewServer(NewHandler(m, tel, true))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 	ctx := context.Background()

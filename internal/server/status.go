@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/sim"
+	"github.com/tieredmem/mtat/internal/tenant"
 )
 
 // RunStatus is the JSON view of one run's lifecycle — what the API
@@ -84,7 +85,7 @@ func (r *run) status() RunStatus {
 		SubmittedAt: r.submitted,
 		Error:       r.errMsg,
 		Trace:       traceOrEmpty(r.trace),
-		Tenant:      tenantName(r.tn),
+		Tenant:      tenant.NameOf(r.tn),
 	}
 	if !r.started.IsZero() {
 		t := r.started

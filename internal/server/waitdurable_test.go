@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/tieredmem/mtat/internal/daemonkit"
 )
 
 // TestWaitDurableRidesOutOutage: the daemon answers 503 (then drops the
@@ -131,7 +133,7 @@ func TestWaitDurableDefinitiveErrors(t *testing.T) {
 	c := NewClient(srv.URL)
 	ctx := context.Background()
 	_, err := c.WaitDurable(ctx, "r999999", 5*time.Millisecond, time.Minute)
-	var apiErr *APIError
+	var apiErr *daemonkit.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("err = %v, want 404 APIError", err)
 	}

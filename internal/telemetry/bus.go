@@ -319,6 +319,14 @@ func (b *EventBus) Published() uint64 {
 	return b.published.Load()
 }
 
+// SyncMetrics mirrors the bus's cumulative publish/overflow accounting
+// into reg (MetricBusPublished, MetricBusDropped), raising each counter
+// to the bus's running total.
+func (b *EventBus) SyncMetrics(reg *Registry) {
+	reg.Counter(MetricBusPublished).RaiseTo(b.Published())
+	reg.Counter(MetricBusDropped).RaiseTo(b.Dropped())
+}
+
 // Subscribers returns the number of attached subscribers.
 func (b *EventBus) Subscribers() int {
 	if b == nil {

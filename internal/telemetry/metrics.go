@@ -25,6 +25,15 @@ func (c *Counter) Add(n int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
+// RaiseTo lifts the counter to total, the running value of some
+// monotonic source it mirrors (a ring's drop count, a bus's publish
+// count); a total at or below the current count is a no-op.
+func (c *Counter) RaiseTo(total uint64) {
+	if d := int64(total) - c.Value(); d > 0 {
+		c.Add(d)
+	}
+}
+
 // Value returns the current count (0 on a nil receiver).
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -96,11 +96,6 @@ func (t *Telemetry) SyncDropStats() {
 	if t == nil {
 		return
 	}
-	sync := func(c *Counter, want uint64) {
-		if d := int64(want) - c.Value(); d > 0 {
-			c.Add(d)
-		}
-	}
-	sync(t.reg.Counter(MetricTraceDropped), t.tr.Dropped())
-	sync(t.reg.Counter(MetricSpansDropped), t.spans.Dropped())
+	t.reg.Counter(MetricTraceDropped).RaiseTo(t.tr.Dropped())
+	t.reg.Counter(MetricSpansDropped).RaiseTo(t.spans.Dropped())
 }

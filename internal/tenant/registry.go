@@ -93,6 +93,16 @@ type Tenant struct {
 
 func (t *Tenant) Name() string { return t.spec.Name }
 
+// NameOf renders a tenant for journal records, statuses, and bus
+// events: "" for nil and for the anonymous tenant, so single-tenant
+// deployments produce records byte-identical to pre-tenancy builds.
+func NameOf(t *Tenant) string {
+	if t == nil || t.Name() == AnonymousName {
+		return ""
+	}
+	return t.Name()
+}
+
 func (t *Tenant) Class() Class {
 	t.mu.Lock()
 	defer t.mu.Unlock()
