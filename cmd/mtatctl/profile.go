@@ -77,10 +77,10 @@ func cmdProfile(ctx context.Context, c *server.Client, args []string) error {
 	return nil
 }
 
-// cmdFlight dumps a run's flight recorder — the bounded ring of recent
-// core events (promotions, demotions, SLO violations, policy switches,
-// load shifts) — as JSON on stdout. Works on live runs too, for peeking
-// at a slow cell mid-flight. -follow keeps polling with the ?after=
+// cmdFlight dumps a run's flight recorder — the recent core events
+// (promotions, demotions, SLO violations, policy switches, load shifts)
+// of the run's bounded trace — as JSON on stdout. Works on live runs
+// too, for peeking at a slow cell mid-flight. -follow keeps polling with the ?after=
 // cursor, printing only events newer than the last poll (JSONL).
 func cmdFlight(ctx context.Context, c *server.Client, args []string) error {
 	fs := flag.NewFlagSet("mtatctl flight", flag.ContinueOnError)
@@ -102,9 +102,8 @@ func cmdFlight(ctx context.Context, c *server.Client, args []string) error {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	var after uint64
-	haveCursor := false
 	for {
-		dump, err := c.FlightAfter(ctx, id, after, haveCursor)
+		dump, err := c.FlightAfter(ctx, id, after)
 		if err != nil {
 			return err
 		}
@@ -112,7 +111,7 @@ func cmdFlight(ctx context.Context, c *server.Client, args []string) error {
 			if err := enc.Encode(ev); err != nil {
 				return err
 			}
-			after, haveCursor = ev.Seq, true
+			after = ev.Seq
 		}
 		// Check for the terminal state after draining, so the tail of
 		// events recorded just before the run finished still prints.

@@ -1,11 +1,11 @@
 // Package corebench micro-benchmarks the simulator-core hot paths — page
 // migration (mem), histogram rebuild and partition split (hist), PEBS
-// sampling (pebs), the queue-model tick (queue), and the flight-recorder
-// ring — at a fixed geometry, independent of the experiment Scale, so
-// numbers stay comparable across -quick and full runs. The resulting
-// report is the repo's perf baseline (BENCH_core.json): CI re-runs the
-// suite on every PR and fails on gross (>2×) ns/op or allocs/op
-// regressions via Compare.
+// sampling (pebs), the queue-model tick (queue), and recording a flight
+// event into the run trace — at a fixed geometry, independent of the
+// experiment Scale, so numbers stay comparable across -quick and full
+// runs. The resulting report is the repo's perf baseline
+// (BENCH_core.json): CI re-runs the suite on every PR and fails on
+// gross (>2×) ns/op or allocs/op regressions via Compare.
 package corebench
 
 import (
@@ -14,11 +14,11 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/dist"
-	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/hist"
 	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/pebs"
 	"github.com/tieredmem/mtat/internal/queue"
+	"github.com/tieredmem/mtat/internal/telemetry"
 )
 
 // Fixed benchmark geometry. Deliberately NOT derived from the experiment
@@ -349,13 +349,19 @@ func benchQueueQuantileRef(b *testing.B) {
 	}
 }
 
-// benchFlightRecord measures one flight-recorder ring append — the cost
-// every instrumented core event pays when a run has a recorder attached.
+// benchFlightRecord measures recording one flight event — a tracer emit
+// of a promotion with no sink installed, into a full ring the size of
+// mtatd's per-run trace — the cost every core event pays when a run is
+// traced.
 func benchFlightRecord(b *testing.B) {
-	rec := flight.New(flight.DefaultCapacity)
+	const capacity = 1 << 12
+	tr := telemetry.NewTracer(capacity)
+	for i := 0; i < capacity; i++ { // grow the ring: time the steady state
+		tr.Emit(0, telemetry.EvPromotion, telemetry.WLNone, telemetry.F("pages", 1))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.Record(flight.Event{T: float64(i), Kind: flight.KindPromotion, WL: 0, Value: 1})
+		tr.Emit(float64(i), telemetry.EvPromotion, telemetry.WLNone, telemetry.F("pages", 1))
 	}
 }

@@ -1,53 +1,51 @@
-// Package flight implements the simulator core's flight recorder: a
-// bounded ring of recent core events (page promotions/demotions, SLO
-// violations, policy switches, load shifts) kept per run so a slow,
-// failed, or cancelled cell can be inspected after the fact without
-// paying for a full event trace. The ring overwrites oldest-first and
-// counts what it overwrote, so a dump always says how much history it
-// is missing.
-//
-// Like the telemetry package, everything is nil-safe: a nil *Recorder
-// accepts every call as a no-op, so the simulator records
-// unconditionally and pays nothing when no recorder is attached.
+// Package flight is the per-run flight-recorder view: the recent core
+// events of a run (start and end, page promotions and demotions, SLO
+// violations, policy switches, load shifts) read out of the run's
+// trace, so a slow, failed, or cancelled cell can be inspected after
+// the fact. The run's telemetry.Tracer is the only recorder; this
+// package owns the wire types (Event, Dump) and the one mapping from
+// trace events onto them, shared by the /flight endpoint and the live
+// SSE `flight` events.
 package flight
 
 import (
 	"encoding/json"
 	"io"
-	"sync"
+
+	"github.com/tieredmem/mtat/internal/telemetry"
 )
 
-// Event kinds recorded by the simulator core.
+// Event kinds carried by the view: the trace event types of the same
+// name (see telemetry's schema for their attributes).
 const (
 	// KindRunStart opens a run. Detail carries the policy name; Value
 	// the scheduled duration in seconds.
-	KindRunStart = "run.start"
+	KindRunStart = telemetry.EvRunStart
 	// KindRunEnd closes a run. Detail carries the policy name; Value
 	// the LC SLO-violation rate.
-	KindRunEnd = "run.end"
+	KindRunEnd = telemetry.EvRunEnd
 	// KindPromotion reports pages promoted to FMem during one tick
 	// (Value = pages).
-	KindPromotion = "promotion"
+	KindPromotion = telemetry.EvPromotion
 	// KindDemotion reports pages demoted to SMem during one tick
 	// (Value = pages).
-	KindDemotion = "demotion"
+	KindDemotion = telemetry.EvDemotion
 	// KindSLOViolation marks a tick whose LC requests exceeded the SLO
 	// (Value = fraction of the tick's requests beyond it).
-	KindSLOViolation = "slo.violation"
-	// KindPolicySwitch marks a change in the policy's externally visible
-	// regime — the per-request LC stall it imposes flipped (Value = new
-	// stall in seconds). Fault-driven policies like TPP switch when
-	// promotions move on or off the request critical path.
-	KindPolicySwitch = "policy.switch"
+	KindSLOViolation = telemetry.EvSLOViolation
+	// KindPolicySwitch marks a change in the per-request LC stall the
+	// policy imposes (Value = new stall in seconds, Detail = policy).
+	KindPolicySwitch = telemetry.EvPolicySwitch
 	// KindLoadShift marks a load-pattern level change (Value = new
 	// offered fraction of max load).
-	KindLoadShift = "load.shift"
+	KindLoadShift = telemetry.EvLoadShift
 )
 
 // Event is one flight-recorder entry.
 type Event struct {
-	// Seq is the monotonically increasing sequence number across the
-	// run; gaps at the start of a dump mean the ring overwrote history.
+	// Seq is the event's trace sequence number (1-based, monotonic
+	// across the run); the view skips trace events of other kinds, so
+	// consecutive entries need not be consecutive numbers.
 	Seq uint64 `json:"seq"`
 	// T is the simulation time in seconds.
 	T float64 `json:"t"`
@@ -62,183 +60,59 @@ type Event struct {
 }
 
 // WLNone marks an event that concerns no particular workload.
-const WLNone = -1
+const WLNone = telemetry.WLNone
 
-// DefaultCapacity is the ring size selected by New(0).
-const DefaultCapacity = 512
-
-// Sink receives every recorded event (with Seq assigned) as it lands
-// in the ring. Sinks are invoked synchronously under the recorder lock
-// — delivery order matches Seq order — so they must be fast and must
-// never call back into the recorder. The live event pipeline installs
-// one that forwards onto the daemon's EventBus when someone is
-// watching.
-type Sink func(Event)
-
-// Recorder is a bounded ring of Events. All methods are safe for
-// concurrent use and are no-ops on a nil receiver, so a dump can be
-// taken while the run is still ticking.
-type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int    // write cursor
-	length  int    // occupied slots
-	seq     uint64 // next sequence number
-	dropped uint64 // events overwritten
-	sink    Sink
-}
-
-// New returns a recorder retaining up to capacity events (<= 0 selects
-// DefaultCapacity).
-func New(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
+// FromTrace maps one trace event onto a flight Event: Value from the
+// kind's one named attribute, Detail from the message. ok is false for
+// trace types the flight view does not carry.
+func FromTrace(ev *telemetry.Event) (fe Event, ok bool) {
+	var key string
+	switch ev.Type {
+	case KindRunStart:
+		key = "duration_s"
+	case KindRunEnd:
+		key = "violation_rate"
+	case KindSLOViolation:
+		key = "frac"
+	case KindPromotion, KindDemotion:
+		key = "pages"
+	case KindPolicySwitch:
+		key = "stall_s"
+	case KindLoadShift:
+		key = "load"
+	default:
+		return Event{}, false
 	}
-	return &Recorder{buf: make([]Event, capacity)}
-}
-
-// SetSink installs (or clears, with nil) the live forwarding sink.
-func (r *Recorder) SetSink(s Sink) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sink = s
-	r.mu.Unlock()
-}
-
-// Record appends an event, overwriting the oldest entry when the ring
-// is full. The recorder assigns Seq.
-func (r *Recorder) Record(ev Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	ev.Seq = r.seq
-	r.seq++
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	if r.length < len(r.buf) {
-		r.length++
-	} else {
-		r.dropped++
-	}
-	sink := r.sink
-	if sink != nil {
-		sink(ev)
-	}
-	r.mu.Unlock()
-}
-
-// Len returns the number of retained events (0 on a nil receiver).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.length
-}
-
-// Dropped returns how many events the ring has overwritten.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Events returns the retained events oldest-first. The slice is a
-// snapshot owned by the caller; nil on a nil receiver.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsAfterLocked(0, true)
-}
-
-// EventsAfter returns retained events with Seq > after, oldest-first —
-// the cursor behind `GET .../flight?after=` so pollers fetch only what
-// is new instead of the whole ring every time.
-func (r *Recorder) EventsAfter(after uint64) []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsAfterLocked(after, false)
-}
-
-// eventsAfterLocked collects retained events with Seq > after (all of
-// them when all is true). Callers hold r.mu.
-func (r *Recorder) eventsAfterLocked(after uint64, all bool) []Event {
-	out := make([]Event, 0, r.length)
-	start := r.next - r.length
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.length; i++ {
-		ev := r.buf[(start+i)%len(r.buf)]
-		if all || ev.Seq > after {
-			out = append(out, ev)
-		}
-	}
-	return out
+	v, _ := ev.Attr(key)
+	return Event{Seq: ev.Seq, T: ev.T, Kind: ev.Type, WL: ev.WL, Value: v, Detail: ev.Msg}, true
 }
 
 // Dump is the JSON document served for one run's flight recorder.
 type Dump struct {
-	// Capacity is the ring size; Dropped counts overwritten events —
-	// nonzero means Events is the tail of a longer history.
+	// Capacity is the run trace's ring size; Dropped counts trace
+	// events it overwrote — nonzero means Events is the tail of a
+	// longer history.
 	Capacity int     `json:"capacity"`
 	Dropped  uint64  `json:"dropped"`
 	Events   []Event `json:"events"`
 }
 
-// Snapshot captures the recorder as a Dump. A nil receiver yields an
-// empty dump with a non-nil Events slice.
-func (r *Recorder) Snapshot() Dump {
-	if r == nil {
-		return Dump{Events: []Event{}}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Dump{
-		Capacity: len(r.buf),
-		Dropped:  r.dropped,
-		Events:   r.eventsAfterLocked(0, true),
-	}
+// View captures the flight events of tr with trace Seq > after (0
+// selects them all), oldest first. A nil tracer yields an empty dump
+// with a non-nil Events slice.
+func View(tr *telemetry.Tracer, after uint64) Dump {
+	d := Dump{Capacity: tr.Capacity(), Dropped: tr.Dropped(), Events: []Event{}}
+	tr.EachAfter(after, func(ev *telemetry.Event) {
+		if fe, ok := FromTrace(ev); ok {
+			d.Events = append(d.Events, fe)
+		}
+	})
+	return d
 }
 
-// SnapshotAfter captures a Dump holding only events with Seq > after.
-// Capacity and Dropped still describe the whole ring.
-func (r *Recorder) SnapshotAfter(after uint64) Dump {
-	if r == nil {
-		return Dump{Events: []Event{}}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Dump{
-		Capacity: len(r.buf),
-		Dropped:  r.dropped,
-		Events:   r.eventsAfterLocked(after, false),
-	}
-}
-
-// WriteJSON renders the recorder's snapshot as indented JSON.
-func (r *Recorder) WriteJSON(w io.Writer) error {
+// WriteJSON renders the dump as indented JSON.
+func (d Dump) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// WriteJSONAfter renders SnapshotAfter(after) as indented JSON.
-func (r *Recorder) WriteJSONAfter(w io.Writer, after uint64) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.SnapshotAfter(after))
+	return enc.Encode(d)
 }

@@ -7,7 +7,6 @@
 package policy
 
 import (
-	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/pebs"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -38,10 +37,6 @@ type Context struct {
 	// Policies resolve metric handles from it at Init; every handle is
 	// nil-safe, so instrumentation is a no-op without a sink.
 	Telemetry *telemetry.Telemetry
-	// Flight is the run's flight recorder, nil when none is attached.
-	// The runner records the core event stream itself; policies may
-	// record additional events (Record is nil-safe).
-	Flight *flight.Recorder
 }
 
 // Policy is a tiered-memory page placement/partitioning policy.

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"github.com/tieredmem/mtat/internal/daemonkit"
+	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
 	"github.com/tieredmem/mtat/internal/tenant"
@@ -124,25 +125,23 @@ func NewHandler(m *Manager, tel *telemetry.Telemetry, pprof bool) http.Handler {
 	})
 
 	mux.HandleFunc("GET /api/v1/runs/{id}/flight", func(w http.ResponseWriter, r *http.Request) {
-		fl, err := m.Flight(r.PathValue("id"))
+		tr, err := m.Events(r.PathValue("id"))
 		if err != nil {
 			daemonkit.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		m.SyncFlightDrops(r.PathValue("id"))
-		w.Header().Set("Content-Type", "application/json")
 		// The ?after cursor lets pollers fetch only events newer than
-		// the last sequence number they saw instead of the whole ring.
+		// the last trace seq they saw instead of the whole ring; seqs
+		// start at 1, so a missing cursor (0) serves everything.
+		var after uint64
 		if v := r.URL.Query().Get("after"); v != "" {
-			after, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
+			if after, err = strconv.ParseUint(v, 10, 64); err != nil {
 				daemonkit.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad after cursor %q: %w", v, err))
 				return
 			}
-			_ = fl.WriteJSONAfter(w, after)
-			return
 		}
-		_ = fl.WriteJSON(w)
+		w.Header().Set("Content-Type", "application/json")
+		_ = flight.View(tr, after).WriteJSON(w)
 	})
 
 	mux.HandleFunc("DELETE /api/v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -187,8 +188,8 @@ func TestAPIFlightDump(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
 		t.Fatalf("flight dump is not valid JSON: %v\n%.200s", err, buf.String())
 	}
-	if dump.Capacity != DefaultFlightCapacity {
-		t.Errorf("flight capacity %d, want %d", dump.Capacity, DefaultFlightCapacity)
+	if dump.Capacity != DefaultRunTraceCapacity {
+		t.Errorf("flight capacity %d, want %d", dump.Capacity, DefaultRunTraceCapacity)
 	}
 	kinds := map[string]bool{}
 	for _, ev := range dump.Events {
@@ -204,6 +205,55 @@ func TestAPIFlightDump(t *testing.T) {
 	apiErr, ok := err.(*daemonkit.APIError)
 	if !ok || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown run flight: %v, want HTTP 404", err)
+	}
+}
+
+// TestFlightDropsOneSeries: trace loss of finished runs accumulates in
+// one unlabeled flight_events_dropped_total series, so evicted runs
+// leave no per-run series behind in /metrics.
+func TestFlightDropsOneSeries(t *testing.T) {
+	c, _ := newTestAPI(t, Config{Workers: 1, MaxRuns: 2, RunTraceCapacity: 16})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	var last string
+	for i := 0; i < 5; i++ {
+		st, err := c.Submit(ctx, shortSpec(int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		last = st.ID
+	}
+	dump, err := c.FlightAfter(ctx, last, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dump.Capacity != 16 || dump.Dropped == 0 {
+		t.Fatalf("flight dump capacity/dropped = %d/%d, want 16/>0", dump.Capacity, dump.Dropped)
+	}
+
+	var buf bytes.Buffer
+	if err := c.Metrics(ctx, "prom", &buf); err != nil {
+		t.Fatal(err)
+	}
+	var samples []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, telemetry.MetricFlightDropped) {
+			samples = append(samples, line)
+		}
+	}
+	if len(samples) != 1 {
+		t.Fatalf("%s samples = %q, want exactly one", telemetry.MetricFlightDropped, samples)
+	}
+	if strings.Contains(samples[0], "run=") {
+		t.Errorf("%s carries a run label: %q", telemetry.MetricFlightDropped, samples[0])
+	}
+	var v float64
+	if _, err := fmt.Sscanf(samples[0], telemetry.MetricFlightDropped+" %g", &v); err != nil || v <= float64(dump.Dropped) {
+		t.Errorf("%q: want the sum over all 5 runs, above the last run's %d", samples[0], dump.Dropped)
 	}
 }
 

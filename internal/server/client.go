@@ -83,15 +83,12 @@ func (c *Client) Flight(ctx context.Context, id string, w io.Writer) error {
 }
 
 // FlightAfter fetches the run's flight events newer than the `after`
-// sequence cursor (pass 0 with haveCursor=false for the full ring) —
-// the incremental fetch behind `mtatctl flight -follow`.
-func (c *Client) FlightAfter(ctx context.Context, id string, after uint64, haveCursor bool) (flight.Dump, error) {
-	path := "/api/v1/runs/" + id + "/flight"
-	if haveCursor {
-		path += "?after=" + strconv.FormatUint(after, 10)
-	}
+// trace-seq cursor (0 for all of them) — the incremental fetch behind
+// `mtatctl flight -follow`.
+func (c *Client) FlightAfter(ctx context.Context, id string, after uint64) (flight.Dump, error) {
 	var d flight.Dump
-	err := c.Do(ctx, http.MethodGet, path, nil, &d)
+	err := c.Do(ctx, http.MethodGet,
+		"/api/v1/runs/"+id+"/flight?after="+strconv.FormatUint(after, 10), nil, &d)
 	return d, err
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // Live event publishing: the manager forwards run lifecycle
-// transitions, flight-recorder events, and periodic mid-run stats
-// deltas onto its EventBus, where the SSE endpoints in api.go stream
-// them to `mtatctl watch`. Every publish is gated on Bus.Active(topic),
+// transitions, the flight kinds of each run's trace, and periodic
+// mid-run stats deltas onto its EventBus, where the SSE endpoints in
+// api.go stream them to `mtatctl watch`. Every publish is gated on Bus.Active(topic),
 // so a daemon nobody is watching pays one atomic load per potential
 // event and allocates nothing.
 
@@ -69,21 +69,22 @@ func (m *Manager) publishRunLocked(r *run) {
 	})
 }
 
-// flightSink returns the forwarding sink installed on a run's flight
-// recorder: each core event lands on the bus as a `flight` event when
-// someone is watching. The sink runs under the recorder's lock, so it
-// does nothing but the gated publish.
-func (m *Manager) flightSink(id string, tn string) flight.Sink {
+// flightSink returns the sink installed on a run's tracer: each trace
+// event of a flight kind lands on the bus as a `flight` event when
+// someone is watching. The sink runs under the tracer's lock, so it
+// does nothing but the kind check and the gated publish.
+func (m *Manager) flightSink(id string, tn string) func(*telemetry.Event) {
 	topic := runTopic(id)
-	return func(ev flight.Event) {
-		if !m.bus.Active(topic) {
+	return func(ev *telemetry.Event) {
+		fe, ok := flight.FromTrace(ev)
+		if !ok || !m.bus.Active(topic) {
 			return
 		}
 		m.bus.Publish(telemetry.BusEvent{
 			Topic:  topic,
 			Kind:   telemetry.EvBusFlight,
 			Tenant: tn,
-			Data:   ev,
+			Data:   fe,
 		})
 	}
 }
@@ -145,29 +146,6 @@ func (m *Manager) sampleRunStats(r *run, stop <-chan struct{}) {
 			})
 			last, lastAt = cur, now
 		}
-	}
-}
-
-// syncFlightDropsLocked mirrors a run's flight-ring loss into the
-// daemon registry as flight_events_dropped_total{run}. The series is
-// only created once the run actually dropped, so the registry does not
-// accumulate a zero series per run. Callers hold m.mu.
-func (m *Manager) syncFlightDropsLocked(r *run) {
-	d := r.flight.Dropped()
-	if d == 0 {
-		return
-	}
-	m.cfg.Telemetry.Metrics().Counter(
-		telemetry.SeriesName(telemetry.MetricFlightDropped, "run", r.id)).RaiseTo(d)
-}
-
-// SyncFlightDrops mirrors one run's flight-ring loss into the daemon
-// registry (no-op for unknown runs — the HTTP layer already 404ed).
-func (m *Manager) SyncFlightDrops(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.runs[id]; ok && r.flight != nil {
-		m.syncFlightDropsLocked(r)
 	}
 }
 

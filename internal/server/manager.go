@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/loadgen"
 	"github.com/tieredmem/mtat/internal/sim"
@@ -47,16 +46,14 @@ func (s State) Terminal() bool {
 const (
 	DefaultQueueCap = 64
 	DefaultMaxRuns  = 256
-	// DefaultRunTraceCapacity bounds each run's private trace ring. The
-	// telemetry default (1<<16 events) is sized for one process-wide
-	// sink; a service retaining hundreds of runs wants a smaller ring.
+	// DefaultRunTraceCapacity bounds each run's private trace ring, which
+	// also backs the run's flight view. The telemetry default (1<<16
+	// events) is sized for one process-wide sink; a service retaining
+	// hundreds of runs wants a smaller ring.
 	DefaultRunTraceCapacity = 1 << 12
 	// DefaultCompactEvery is the number of journal delta records between
 	// snapshot compactions when persistence is enabled.
 	DefaultCompactEvery = 1024
-	// DefaultFlightCapacity sizes each run's flight-recorder ring (recent
-	// core events retained for postmortems).
-	DefaultFlightCapacity = 256
 )
 
 // Config sizes the run manager.
@@ -70,12 +67,9 @@ type Config struct {
 	// registry entry, result, and telemetry) is evicted beyond the cap
 	// (<= 0 selects DefaultMaxRuns).
 	MaxRuns int
-	// RunTraceCapacity sizes each run's private trace ring (<= 0 selects
-	// DefaultRunTraceCapacity).
+	// RunTraceCapacity sizes each run's private trace ring, and with it
+	// the run's flight view (<= 0 selects DefaultRunTraceCapacity).
 	RunTraceCapacity int
-	// FlightCapacity sizes each run's flight-recorder ring (<= 0 selects
-	// DefaultFlightCapacity).
-	FlightCapacity int
 	// DefaultEpisodes is the MTAT in-process training budget for specs
 	// that omit episodes (<= 0 selects sim.DefaultPretrainEpisodes).
 	DefaultEpisodes int
@@ -140,7 +134,6 @@ type run struct {
 	// the summary survives it.
 	summary *RunResult
 	tel     *telemetry.Telemetry
-	flight  *flight.Recorder
 	// sc is the submit-time span context (the API request's server span
 	// when the submission arrived with a traceparent); the worker parents
 	// the run.execute span under it so the whole run joins the caller's
@@ -182,6 +175,7 @@ type Manager struct {
 	mSubmitted, mRejected *telemetry.Counter
 	mDone, mFailed        *telemetry.Counter
 	mCancelled, mEvicted  *telemetry.Counter
+	mFlightDropped        *telemetry.Counter
 	gQueued, gRunning     *telemetry.Gauge
 	gRetained             *telemetry.Gauge
 }
@@ -202,9 +196,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.RunTraceCapacity <= 0 {
 		cfg.RunTraceCapacity = DefaultRunTraceCapacity
-	}
-	if cfg.FlightCapacity <= 0 {
-		cfg.FlightCapacity = DefaultFlightCapacity
 	}
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = DefaultCompactEvery
@@ -233,6 +224,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.mFailed = reg.Counter("server_runs_failed_total")
 	m.mCancelled = reg.Counter("server_runs_cancelled_total")
 	m.mEvicted = reg.Counter("server_results_evicted_total")
+	m.mFlightDropped = reg.Counter(telemetry.MetricFlightDropped)
 	m.gQueued = reg.Gauge("server_queue_depth")
 	m.gRunning = reg.Gauge("server_runs_running")
 	m.gRetained = reg.Gauge("server_results_retained")
@@ -395,7 +387,6 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 		state:     StateQueued,
 		submitted: time.Now(),
 		tel:       newRunTelemetry(m.cfg),
-		flight:    flight.New(m.cfg.FlightCapacity),
 		sc:        sc,
 		trace:     sc.Trace,
 		ctx:       runCtx,
@@ -427,7 +418,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 		}
 		jspan.End(nil)
 	}
-	r.flight.SetSink(m.flightSink(r.id, tenant.NameOf(tn)))
+	r.tel.Tracer().SetSink(m.flightSink(r.id, tenant.NameOf(tn)))
 	m.queue.Push(tn, r)
 	m.runs[r.id] = r
 	m.order = append(m.order, r.id)
@@ -505,20 +496,6 @@ func (m *Manager) Events(id string) (*telemetry.Tracer, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	return r.tel.Tracer(), nil
-}
-
-// Flight returns a run's flight recorder. The recorder is safe for
-// concurrent use, so a dump can be taken while the run is live; a run
-// finished by a previous incarnation returns an empty recorder (flight
-// rings are not journaled).
-func (m *Manager) Flight(id string) (*flight.Recorder, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.runs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return r.flight, nil
 }
 
 // Cancel stops a run: a queued run is marked cancelled immediately (the
@@ -645,7 +622,7 @@ func (m *Manager) runOne(r *run) {
 			telemetry.ContextWithSpanContext(ctx, r.sc), "run.execute",
 			telemetry.SA("run", r.id), telemetry.SA("policy", r.spec.PolicyName()))
 	}
-	res, err := execute(ctx, r.spec, r.tel, r.flight, m.cfg.DefaultEpisodes)
+	res, err := execute(ctx, r.spec, r.tel, m.cfg.DefaultEpisodes)
 	span.End(err)
 	// Each run records into a private sink; re-publish its core
 	// accounting on the daemon sink so /metrics carries cross-run
@@ -705,7 +682,7 @@ func (m *Manager) finishLocked(r *run, st State, msg string, res *sim.Result) {
 		ID: r.id, State: st, Error: msg, FinishedAt: r.finished,
 		Result: summarizeOrNil(res), Tenant: tenant.NameOf(r.tn),
 	})
-	m.syncFlightDropsLocked(r)
+	m.mFlightDropped.Add(int64(r.tel.Tracer().Dropped()))
 	m.publishRunLocked(r)
 	m.SyncBusMetrics()
 	m.evictLocked()
@@ -747,7 +724,7 @@ func summarizeOrNil(res *sim.Result) *RunResult {
 // execute materializes and runs one spec: scenario build, policy
 // construction (including in-process MTAT pre-training, cancellable via
 // ctx), then the tick loop under the run's private telemetry sink.
-func execute(ctx context.Context, spec sim.RunSpec, tel *telemetry.Telemetry, fl *flight.Recorder, defaultEpisodes int) (*sim.Result, error) {
+func execute(ctx context.Context, spec sim.RunSpec, tel *telemetry.Telemetry, defaultEpisodes int) (*sim.Result, error) {
 	scn, err := spec.Scenario()
 	if err != nil {
 		return nil, err
@@ -761,6 +738,5 @@ func execute(ctx context.Context, spec sim.RunSpec, tel *telemetry.Telemetry, fl
 		return nil, err
 	}
 	scn.Telemetry = tel
-	scn.Flight = fl
 	return sim.RunScenarioContext(ctx, scn, pol)
 }

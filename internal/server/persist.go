@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -197,8 +196,7 @@ func (m *Manager) restore(rs *replayState) []*run {
 		} else {
 			r.state = StateQueued
 			r.tel = newRunTelemetry(m.cfg)
-			r.flight = flight.New(m.cfg.FlightCapacity)
-			r.flight.SetSink(m.flightSink(r.id, tenant.NameOf(r.tn)))
+			r.tel.Tracer().SetSink(m.flightSink(r.id, tenant.NameOf(r.tn)))
 			r.ctx, r.cancel = newRunContext()
 			r.done = make(chan struct{})
 			pending = append(pending, r)

@@ -123,7 +123,8 @@ func TestSSEResumeAcrossDisconnect(t *testing.T) {
 	for _, ev := range merged {
 		kinds[ev.Kind] = true
 	}
-	if !kinds[telemetry.EvBusRunState] || !kinds[telemetry.EvBusRunStats] {
+	if !kinds[telemetry.EvBusRunState] || !kinds[telemetry.EvBusRunStats] ||
+		!kinds[telemetry.EvBusFlight] {
 		t.Fatalf("missing event kinds in %v", kinds)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/core"
-	"github.com/tieredmem/mtat/internal/flight"
 	"github.com/tieredmem/mtat/internal/loadgen"
 	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/pebs"
@@ -55,14 +54,11 @@ type Scenario struct {
 	// Seed drives all scenario randomness.
 	Seed int64
 	// Telemetry is an optional observability sink: the runner and the
-	// policy record metrics and trace events into it. Nil (the default)
-	// keeps all instrumentation on its zero-cost no-op path.
+	// policy record metrics and trace events into it, including the
+	// core events the flight view serves (promotions, demotions, SLO
+	// violations, policy switches, load shifts). Nil (the default) keeps
+	// all instrumentation on its zero-cost no-op path.
 	Telemetry *telemetry.Telemetry
-	// Flight is an optional flight recorder capturing the run's recent
-	// core events (promotions, demotions, SLO violations, policy
-	// switches, load shifts) for postmortems. Nil (the default) records
-	// nothing and costs nothing.
-	Flight *flight.Recorder
 	// ReferenceCore runs the scenario on the retained reference (seed)
 	// implementations of the core hot paths — eager hotness aging, the
 	// map-backed PEBS tick dedup, and full-sort queue quantiles — instead
@@ -224,7 +220,6 @@ func NewRunner(scn Scenario, pol policy.Policy) (*Runner, error) {
 		BEs:       r.bes,
 		BEResults: make([]workload.BETickResult, len(r.bes)),
 		Telemetry: scn.Telemetry,
-		Flight:    scn.Flight,
 	}
 	if err := pol.Init(r.ctx); err != nil {
 		return nil, err
@@ -270,7 +265,6 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	// Observability handles — all nil-safe no-ops without a sink.
 	reg := scn.Telemetry.Metrics()
 	tr := scn.Telemetry.Tracer()
-	fl := scn.Flight
 	probe := r.beginCore()
 	mTicks := reg.Counter(telemetry.MetricSimTicks)
 	mViolations := reg.Counter(telemetry.MetricSimViolations)
@@ -298,10 +292,6 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 				telemetry.F("is_lc", 0),
 				telemetry.I("total_pages", r.sys.TotalPages(be.ID())))
 		}
-	}
-	if fl != nil {
-		fl.Record(flight.Event{T: 0, Kind: flight.KindRunStart,
-			WL: flight.WLNone, Value: scn.DurationSeconds, Detail: res.Policy})
 	}
 
 	type beAgg struct {
@@ -335,9 +325,9 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 					settleUntil = now + scn.SettleSeconds
 				}
 				lastFrac = frac
-				if fl != nil {
-					fl.Record(flight.Event{T: now, Kind: flight.KindLoadShift,
-						WL: int(r.lc.ID()), Value: frac})
+				if tr != nil {
+					tr.Emit(now, telemetry.EvLoadShift, int(r.lc.ID()),
+						telemetry.F("load", frac))
 				}
 			}
 			if now < settleUntil {
@@ -363,10 +353,6 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 						telemetry.F("frac", lcRes.ViolationFrac),
 						telemetry.F("load", frac),
 						telemetry.F("fmem_ratio", fmemRatio))
-				}
-				if fl != nil {
-					fl.Record(flight.Event{T: now, Kind: flight.KindSLOViolation,
-						WL: int(r.lc.ID()), Value: lcRes.ViolationFrac})
 				}
 			}
 
@@ -407,20 +393,20 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		mTicks.Inc()
-		if fl != nil {
+		if tr != nil {
 			if p := r.sys.PromotedPages(); p != lastPromoted {
-				fl.Record(flight.Event{T: now, Kind: flight.KindPromotion,
-					WL: flight.WLNone, Value: float64(p - lastPromoted)})
+				tr.Emit(now, telemetry.EvPromotion, telemetry.WLNone,
+					telemetry.F("pages", float64(p-lastPromoted)))
 				lastPromoted = p
 			}
 			if d := r.sys.DemotedPages(); d != lastDemoted {
-				fl.Record(flight.Event{T: now, Kind: flight.KindDemotion,
-					WL: flight.WLNone, Value: float64(d - lastDemoted)})
+				tr.Emit(now, telemetry.EvDemotion, telemetry.WLNone,
+					telemetry.F("pages", float64(d-lastDemoted)))
 				lastDemoted = d
 			}
 			if s := r.pol.LCStall(); s != lastStall {
-				fl.Record(flight.Event{T: now, Kind: flight.KindPolicySwitch,
-					WL: flight.WLNone, Value: s, Detail: res.Policy})
+				tr.EmitMsg(now, telemetry.EvPolicySwitch, telemetry.WLNone, res.Policy,
+					telemetry.F("stall_s", s))
 				lastStall = s
 			}
 		}
@@ -474,10 +460,6 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	}
 	res.Core = r.endCore(probe, ticks)
 	res.Core.Publish(scn.Telemetry)
-	if fl != nil {
-		fl.Record(flight.Event{T: scn.DurationSeconds, Kind: flight.KindRunEnd,
-			WL: flight.WLNone, Value: res.LCViolationRate, Detail: res.Policy})
-	}
 	return res, nil
 }
 

@@ -237,7 +237,7 @@ func (b *EventBus) Subscribe(topic string, afterID uint64, filter func(BusEvent)
 		bus:    b,
 		topic:  topic,
 		filter: filter,
-		buf:    make([]BusEvent, b.subCap),
+		buf:    newRing[BusEvent](b.subCap),
 		notify: make(chan struct{}, 1),
 	}
 	b.mu.Lock()
@@ -267,8 +267,8 @@ func (b *EventBus) Subscribe(topic string, afterID uint64, filter func(BusEvent)
 	// silently reopen the gap the resume just closed), and offer it
 	// before registering the subscriber so a concurrent Publish cannot
 	// interleave a newer event ahead of older replayed ones.
-	if len(replay) > len(s.buf) {
-		s.buf = make([]BusEvent, len(replay)+b.subCap)
+	if len(replay) > b.subCap {
+		s.buf = newRing[BusEvent](len(replay) + b.subCap)
 	}
 	for _, ev := range replay {
 		if !s.offer(ev) {
@@ -372,9 +372,7 @@ func sortBusEvents(evs []BusEvent) {
 
 // topicRing is one topic's bounded replay history.
 type topicRing struct {
-	buf    []BusEvent
-	next   int
-	length int
+	events ring[BusEvent]
 	// firstID is the ID of the first event ever pushed (0 before any);
 	// lastID the newest. Together with the ring contents they make gap
 	// accounting exact.
@@ -383,7 +381,7 @@ type topicRing struct {
 }
 
 func newTopicRing(capacity int) *topicRing {
-	return &topicRing{buf: make([]BusEvent, capacity)}
+	return &topicRing{events: newRing[BusEvent](capacity)}
 }
 
 func (r *topicRing) push(ev BusEvent) {
@@ -391,39 +389,23 @@ func (r *topicRing) push(ev BusEvent) {
 		r.firstID = ev.ID
 	}
 	r.lastID = ev.ID
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	if r.length < len(r.buf) {
-		r.length++
-	}
+	r.events.push(ev)
 }
 
 // oldestID returns the ID of the oldest retained event, 0 when empty.
 func (r *topicRing) oldestID() uint64 {
-	if r.length == 0 {
+	if r.events.len() == 0 {
 		return 0
 	}
-	start := r.next - r.length
-	if start < 0 {
-		start += len(r.buf)
-	}
-	return r.buf[start].ID
+	return r.events.at(0).ID
 }
 
 // after returns retained events with ID > afterID, oldest first.
 func (r *topicRing) after(afterID uint64) []BusEvent {
-	if r.length == 0 {
-		return nil
-	}
-	start := r.next - r.length
-	if start < 0 {
-		start += len(r.buf)
-	}
 	var out []BusEvent
-	for i := 0; i < r.length; i++ {
-		ev := r.buf[(start+i)%len(r.buf)]
-		if ev.ID > afterID {
-			out = append(out, ev)
+	for i := 0; i < r.events.len(); i++ {
+		if ev := r.events.at(i); ev.ID > afterID {
+			out = append(out, *ev)
 		}
 	}
 	return out
@@ -466,13 +448,10 @@ type Subscriber struct {
 	topic  string
 	filter func(BusEvent) bool
 
-	mu      sync.Mutex
-	buf     []BusEvent
-	next    int
-	length  int
-	dropped uint64
-	gap     uint64
-	closed  bool
+	mu     sync.Mutex
+	buf    ring[BusEvent]
+	gap    uint64
+	closed bool
 
 	notify chan struct{}
 }
@@ -489,14 +468,7 @@ func (s *Subscriber) offer(ev BusEvent) bool {
 		s.mu.Unlock()
 		return true
 	}
-	overflowed := s.length == len(s.buf)
-	s.buf[s.next] = ev
-	s.next = (s.next + 1) % len(s.buf)
-	if overflowed {
-		s.dropped++
-	} else {
-		s.length++
-	}
+	overflowed := s.buf.push(ev)
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -514,13 +486,7 @@ func (s *Subscriber) Next(done <-chan struct{}) (BusEvent, bool) {
 	}
 	for {
 		s.mu.Lock()
-		if s.length > 0 {
-			start := s.next - s.length
-			if start < 0 {
-				start += len(s.buf)
-			}
-			ev := s.buf[start]
-			s.length--
+		if ev, ok := s.buf.pop(); ok {
 			s.mu.Unlock()
 			return ev, true
 		}
@@ -545,16 +511,7 @@ func (s *Subscriber) TryNext() (BusEvent, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.length == 0 {
-		return BusEvent{}, false
-	}
-	start := s.next - s.length
-	if start < 0 {
-		start += len(s.buf)
-	}
-	ev := s.buf[start]
-	s.length--
-	return ev, true
+	return s.buf.pop()
 }
 
 // Dropped returns how many events this subscriber's buffer overwrote.
@@ -564,7 +521,7 @@ func (s *Subscriber) Dropped() uint64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dropped
+	return s.buf.dropped
 }
 
 // Gap returns how many events between the requested resume point and

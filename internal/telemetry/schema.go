@@ -19,6 +19,21 @@ const (
 	// attrs: p99_s, frac (fraction of the tick's requests beyond SLO),
 	// load (offered fraction of max load), fmem_ratio.
 	EvSLOViolation = "slo.violation"
+	// EvPromotion reports the pages promoted to FMem during one tick.
+	// attrs: pages.
+	EvPromotion = "promotion"
+	// EvDemotion reports the pages demoted to SMem during one tick.
+	// attrs: pages.
+	EvDemotion = "demotion"
+	// EvPolicySwitch marks a change in the policy's externally visible
+	// regime: the per-request LC stall it imposes flipped. Fault-driven
+	// policies like TPP switch when promotions move on or off the
+	// request critical path. msg=policy name; attrs: stall_s (the new
+	// stall in seconds).
+	EvPolicySwitch = "policy.switch"
+	// EvLoadShift marks a load-pattern level change on the LC workload.
+	// attrs: load (the new offered fraction of max load).
+	EvLoadShift = "load.shift"
 
 	// EvPPMDecision is one PP-M partition decision (one RL step).
 	// attrs: usage, acc_ratio, load (the state vector §3.2.1), raw
@@ -133,10 +148,9 @@ const (
 	MetricTenantQueueWait = "tenant_queue_wait_seconds"
 	MetricTenantRejected  = "tenant_rejected_total"
 
-	// Live event pipeline: flight-recorder ring loss per run (SeriesName
-	// with a `run` label; only exported once a run actually dropped, so
-	// the registry doesn't accumulate zero series per run), and the
-	// EventBus's publish/overflow accounting.
+	// Live event pipeline: run-trace ring loss summed over finished runs
+	// (one unlabeled series; a run's own count is the `dropped` field of
+	// its flight dump), and the EventBus's publish/overflow accounting.
 	MetricFlightDropped = "flight_events_dropped_total"
 	MetricBusPublished  = "telemetry_bus_events_total"
 	MetricBusDropped    = "telemetry_bus_dropped_total"

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -337,19 +336,16 @@ func (s *ActiveSpan) End(err error) {
 const DefaultSpanCapacity = 1 << 13
 
 // SpanStore retains the most recent finished spans of one process in a
-// fixed-capacity ring. Emission is O(1); overflow overwrites the
-// oldest span and is counted (surfaced as telemetry_spans_dropped_total
+// bounded ring. Emission is O(1); overflow overwrites the oldest span
+// and is counted (surfaced as telemetry_spans_dropped_total
 // so silent loss is observable). All methods are safe for concurrent
 // use and no-ops on a nil receiver.
 type SpanStore struct {
 	service string
 
 	mu    sync.Mutex
-	buf   []Span
-	next  int
+	buf   ring[Span]
 	count uint64
-
-	dropped atomic.Uint64
 }
 
 // NewSpanStore returns a store retaining the last capacity spans,
@@ -359,7 +355,7 @@ func NewSpanStore(service string, capacity int) *SpanStore {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanStore{service: service, buf: make([]Span, 0, capacity)}
+	return &SpanStore{service: service, buf: newRing[Span](capacity)}
 }
 
 // SetService names the process recorded on every span (e.g. "mtatd").
@@ -409,16 +405,7 @@ func (st *SpanStore) add(sp Span) {
 		return
 	}
 	st.mu.Lock()
-	if len(st.buf) < cap(st.buf) {
-		st.buf = append(st.buf, sp)
-	} else {
-		st.buf[st.next] = sp
-		st.dropped.Add(1)
-	}
-	st.next++
-	if st.next == cap(st.buf) {
-		st.next = 0
-	}
+	st.buf.push(sp)
 	st.count++
 	st.mu.Unlock()
 }
@@ -430,7 +417,7 @@ func (st *SpanStore) Len() int {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.buf)
+	return st.buf.len()
 }
 
 // Count returns the total number of spans ever recorded.
@@ -448,7 +435,9 @@ func (st *SpanStore) Dropped() uint64 {
 	if st == nil {
 		return 0
 	}
-	return st.dropped.Load()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.buf.dropped
 }
 
 // Spans returns a copy of the retained spans, oldest first.
@@ -458,14 +447,7 @@ func (st *SpanStore) Spans() []Span {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]Span, 0, len(st.buf))
-	if len(st.buf) == cap(st.buf) {
-		out = append(out, st.buf[st.next:]...)
-		out = append(out, st.buf[:st.next]...)
-	} else {
-		out = append(out, st.buf...)
-	}
-	return out
+	return st.buf.appendTo(make([]Span, 0, st.buf.len()))
 }
 
 // ByTrace returns the retained spans of one trace, oldest first.

@@ -54,30 +54,45 @@ func (e *Event) Attr(key string) (float64, bool) {
 	return 0, false
 }
 
-// Tracer records events into a fixed-capacity ring buffer: emission is
-// O(1), never allocates in steady state, and arbitrarily long runs retain
-// the most recent `capacity` events. All methods are safe for concurrent
-// use and are no-ops on a nil receiver.
+// Tracer records events into a bounded ring: emission is O(1), never
+// allocates once the ring has grown to capacity, and arbitrarily long
+// runs retain the most recent `capacity` events. An optional sink sees
+// every event as it lands. All methods are safe for concurrent use and
+// are no-ops on a nil receiver.
 type Tracer struct {
 	mu    sync.Mutex
-	buf   []Event
-	next  int    // next write slot
-	count uint64 // total events ever emitted
+	buf   ring[Event]
+	count uint64 // total events ever emitted; also the last Seq
+	sink  func(*Event)
 }
 
 // NewTracer returns a tracer retaining the last capacity events (<= 0
-// selects DefaultTraceCapacity).
+// selects DefaultTraceCapacity). Slots are allocated as events arrive.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{buf: newRing[Event](capacity)}
 }
 
 // Enabled reports whether events are being recorded. Hot paths should
 // guard event construction with it so that attribute evaluation costs
 // nothing when tracing is off.
 func (tr *Tracer) Enabled() bool { return tr != nil }
+
+// SetSink installs (or clears, with nil) a function that receives every
+// event after it is recorded. The sink runs synchronously under the
+// tracer's lock, so delivery order matches Seq order; it must be fast,
+// must not retain ev past the call, and must never call back into the
+// tracer.
+func (tr *Tracer) SetSink(sink func(ev *Event)) {
+	if tr == nil {
+		return
+	}
+	tr.mu.Lock()
+	tr.sink = sink
+	tr.mu.Unlock()
+}
 
 // Emit records one event. Attributes beyond MaxAttrs are dropped.
 func (tr *Tracer) Emit(t float64, typ string, wl int, attrs ...Attr) {
@@ -94,7 +109,7 @@ func (tr *Tracer) EmitMsg(t float64, typ string, wl int, msg string, attrs ...At
 		n = MaxAttrs
 	}
 	tr.mu.Lock()
-	ev := &tr.buf[tr.next]
+	ev := tr.buf.slot()
 	tr.count++
 	ev.Seq = tr.count
 	ev.T = t
@@ -103,9 +118,8 @@ func (tr *Tracer) EmitMsg(t float64, typ string, wl int, msg string, attrs ...At
 	ev.Msg = msg
 	ev.nattrs = n
 	copy(ev.attrs[:n], attrs[:n])
-	tr.next++
-	if tr.next == len(tr.buf) {
-		tr.next = 0
+	if tr.sink != nil {
+		tr.sink(ev)
 	}
 	tr.mu.Unlock()
 }
@@ -117,7 +131,16 @@ func (tr *Tracer) Len() int {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.retained()
+	return tr.buf.len()
+}
+
+// Capacity returns how many events the tracer retains at most (0 on a
+// nil receiver).
+func (tr *Tracer) Capacity() int {
+	if tr == nil {
+		return 0
+	}
+	return tr.buf.max
 }
 
 // Count returns the total number of events ever emitted (retained or not).
@@ -137,14 +160,7 @@ func (tr *Tracer) Dropped() uint64 {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.count - uint64(tr.retained())
-}
-
-func (tr *Tracer) retained() int {
-	if tr.count < uint64(len(tr.buf)) {
-		return int(tr.count)
-	}
-	return len(tr.buf)
+	return tr.buf.dropped
 }
 
 // Events returns a chronological copy of the retained events.
@@ -154,16 +170,25 @@ func (tr *Tracer) Events() []Event {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	n := tr.retained()
-	out := make([]Event, 0, n)
-	start := 0
-	if tr.count >= uint64(len(tr.buf)) {
-		start = tr.next // oldest retained slot
+	return tr.buf.appendTo(make([]Event, 0, tr.buf.len()))
+}
+
+// EachAfter calls fn, oldest first, for every retained event with
+// Seq > after (Seq is 1-based, so 0 visits them all) — the cursor
+// behind views that filter the trace without copying it. fn runs under
+// the tracer's lock and must not retain ev or call back into the
+// tracer.
+func (tr *Tracer) EachAfter(after uint64, fn func(ev *Event)) {
+	if tr == nil {
+		return
 	}
-	for i := 0; i < n; i++ {
-		out = append(out, tr.buf[(start+i)%len(tr.buf)])
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for i := 0; i < tr.buf.len(); i++ {
+		if ev := tr.buf.at(i); ev.Seq > after {
+			fn(ev)
+		}
 	}
-	return out
 }
 
 // WriteJSONL renders the retained events, oldest first, one JSON object
