@@ -56,18 +56,15 @@ func runAblation(s *Suite, w io.Writer) error {
 	for _, v := range variants {
 		cfg := s.mtatConfig(scn)
 		v.mut(&cfg)
-		m, err := core.New(core.VariantFull, cfg)
+		var m *core.MTAT
+		var err error
+		if v.train {
+			m, err = s.train(core.VariantFull, cfg, scn, "ablation variant "+v.name)
+		} else {
+			m, err = core.New(core.VariantFull, cfg)
+		}
 		if err != nil {
 			return err
-		}
-		if v.train {
-			s.logf("ablation: training %s (%d episodes)", v.name, s.cfg.Episodes)
-			trainScn := scn
-			trainScn.TickSeconds = s.cfg.TrainTickSeconds
-			if err := sim.PretrainMTAT(m, trainScn, s.cfg.Episodes); err != nil {
-				return err
-			}
-			m.ResetEpisode()
 		}
 		res, err := sim.RunScenario(scn, m)
 		if err != nil {

@@ -5,12 +5,13 @@
 // SLO-violation studies (Figure 9, Table 4), the settings sweep (Table 3),
 // and the overhead measurements (§5.5).
 //
-// Experiments share a Suite, which caches expensive artifacts — trained
-// MTAT agents and completed scenario runs — so that, e.g., Figure 6 reuses
-// Figure 5's runs and Table 4 reuses Figure 9's.
+// Experiments share a Suite, which caches completed scenario runs so that,
+// e.g., Figure 6 reuses Figure 5's runs and Table 4 reuses Figure 9's.
+// Trained MTAT agents are shared through sim's trained-policy cache.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -120,8 +121,6 @@ func (c Config) Validate() error {
 // Suite carries the configuration plus caches shared across experiments.
 type Suite struct {
 	cfg Config
-	// agents caches trained MTAT agent weights per scenario key.
-	agents map[string][]byte
 	// fig5 caches the dynamic-load runs: lcName -> policy name -> result.
 	fig5 map[string]map[string]*sim.Result
 	// fig9 caches the constant-load Redis runs: policy -> load -> result.
@@ -136,10 +135,9 @@ func NewSuite(cfg Config) (*Suite, error) {
 		return nil, err
 	}
 	return &Suite{
-		cfg:    cfg,
-		agents: make(map[string][]byte),
-		fig5:   make(map[string]map[string]*sim.Result),
-		fig9:   make(map[string]map[float64]*sim.Result),
+		cfg:  cfg,
+		fig5: make(map[string]map[string]*sim.Result),
+		fig9: make(map[string]map[float64]*sim.Result),
 	}, nil
 }
 
@@ -189,34 +187,25 @@ func (s *Suite) mtatConfig(scn sim.Scenario) core.PPMConfig {
 }
 
 // trainedMTAT returns a frozen, evaluation-mode MTAT policy of the given
-// variant for scn, training (and caching) the agent on the scenario's load
-// pattern if this key has not been trained yet.
-func (s *Suite) trainedMTAT(variant core.Variant, scn sim.Scenario, key string) (*core.MTAT, error) {
-	fullKey := fmt.Sprintf("%s/%d", key, variant)
-	m, err := core.New(variant, s.mtatConfig(scn))
-	if err != nil {
-		return nil, err
-	}
-	if weights, ok := s.agents[fullKey]; ok {
-		if err := m.LoadAgent(weights); err != nil {
-			return nil, err
-		}
-		m.SetEvalMode(true)
-		m.ResetEpisode()
-		return m, nil
-	}
-	s.logf("training %s for %s (%d episodes)...", variant, key, s.cfg.Episodes)
+// variant for scn, trained on the scenario's load pattern; label names
+// the agent in the progress log.
+func (s *Suite) trainedMTAT(variant core.Variant, scn sim.Scenario, label string) (*core.MTAT, error) {
+	return s.train(variant, s.mtatConfig(scn), scn, fmt.Sprintf("%s for %s", variant, label))
+}
+
+// train returns a frozen, evaluation-mode MTAT agent of the variant,
+// trained with cfg on scn's load pattern at the suite's training tick.
+// Agents come from sim's trained-policy cache, so a second call with the
+// same training inputs, from any experiment, skips training; only a
+// call that trains logs "training <what>".
+func (s *Suite) train(variant core.Variant, cfg core.PPMConfig, scn sim.Scenario, what string) (*core.MTAT, error) {
 	trainScn := scn
 	trainScn.TickSeconds = s.cfg.TrainTickSeconds
-	if err := sim.PretrainMTAT(m, trainScn, s.cfg.Episodes); err != nil {
-		return nil, err
+	m, trained, err := sim.TrainedMTAT(context.Background(), variant, cfg, trainScn, s.cfg.Episodes)
+	if trained {
+		s.logf("training %s (%d episodes)...", what, s.cfg.Episodes)
 	}
-	weights, err := m.SaveAgent()
-	if err != nil {
-		return nil, err
-	}
-	s.agents[fullKey] = weights
-	return m, nil
+	return m, err
 }
 
 // policyList builds a fresh policy instance per name. MTAT variants are

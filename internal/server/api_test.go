@@ -306,3 +306,56 @@ func TestAPIPprofGating(t *testing.T) {
 		t.Fatal("empty heap profile")
 	}
 }
+
+// TestPolicyCacheMetrics: /metrics mirrors sim's trained-policy cache, so
+// a second MTAT run with the same training key shows up as a cache hit.
+func TestPolicyCacheMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains an agent")
+	}
+	c, _ := newTestAPI(t, Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	spec := shortSpec(41)
+	spec.Policy = "mtat-lconly"
+	spec.Episodes = 1
+	scrape := func() (hits, misses float64) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.Metrics(ctx, "prom", &buf); err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if _, err := fmt.Sscanf(line, telemetry.MetricPolicyCacheHits+" %g", &hits); err == nil {
+				found++
+			}
+			if _, err := fmt.Sscanf(line, telemetry.MetricPolicyCacheMisses+" %g", &misses); err == nil {
+				found++
+			}
+		}
+		if found != 2 {
+			t.Fatalf("/metrics lacks the policy cache series:\n%s", buf.String())
+		}
+		return hits, misses
+	}
+	var hits, misses [2]float64
+	for i := range hits {
+		st, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		hits[i], misses[i] = scrape()
+	}
+	if misses[0] < 1 {
+		t.Errorf("after a first MTAT run, %s = %g, want >= 1", telemetry.MetricPolicyCacheMisses, misses[0])
+	}
+	if hits[1] < hits[0]+1 || misses[1] != misses[0] {
+		t.Errorf("a same-key rerun moved hits %g->%g and misses %g->%g, want one more hit and no miss",
+			hits[0], hits[1], misses[0], misses[1])
+	}
+}

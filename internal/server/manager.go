@@ -176,6 +176,8 @@ type Manager struct {
 	mDone, mFailed        *telemetry.Counter
 	mCancelled, mEvicted  *telemetry.Counter
 	mFlightDropped        *telemetry.Counter
+	mPolicyCacheHits      *telemetry.Counter
+	mPolicyCacheMisses    *telemetry.Counter
 	gQueued, gRunning     *telemetry.Gauge
 	gRetained             *telemetry.Gauge
 }
@@ -225,6 +227,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.mCancelled = reg.Counter("server_runs_cancelled_total")
 	m.mEvicted = reg.Counter("server_results_evicted_total")
 	m.mFlightDropped = reg.Counter(telemetry.MetricFlightDropped)
+	m.mPolicyCacheHits = reg.Counter(telemetry.MetricPolicyCacheHits)
+	m.mPolicyCacheMisses = reg.Counter(telemetry.MetricPolicyCacheMisses)
 	m.gQueued = reg.Gauge("server_queue_depth")
 	m.gRunning = reg.Gauge("server_runs_running")
 	m.gRetained = reg.Gauge("server_results_retained")
@@ -685,6 +689,7 @@ func (m *Manager) finishLocked(r *run, st State, msg string, res *sim.Result) {
 	m.mFlightDropped.Add(int64(r.tel.Tracer().Dropped()))
 	m.publishRunLocked(r)
 	m.SyncBusMetrics()
+	m.syncPolicyCacheMetrics()
 	m.evictLocked()
 	m.maybeCompactLocked()
 }
@@ -710,6 +715,15 @@ func (m *Manager) evictLocked() {
 			m.cfg.MaxRuns, evict)
 	}
 	m.gRetained.Set(float64(len(m.finished)))
+}
+
+// syncPolicyCacheMetrics mirrors sim's process-wide trained-policy cache
+// accounting into the daemon registry. Called at run finish: a run builds
+// its policy, the only step that touches the cache, before it finishes.
+func (m *Manager) syncPolicyCacheMetrics() {
+	hits, misses := sim.PolicyCacheStats()
+	m.mPolicyCacheHits.RaiseTo(hits)
+	m.mPolicyCacheMisses.RaiseTo(misses)
 }
 
 // summarizeOrNil is summarize tolerating the nil result of a failed or

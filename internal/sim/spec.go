@@ -309,8 +309,9 @@ const DefaultPretrainEpisodes = 20
 // NewPolicy constructs the named policy for the scenario. MTAT variants
 // are pre-trained in-process on the scenario's geometry under the
 // Figure 7 ramp for the given number of episodes (<= 0 selects
-// DefaultPretrainEpisodes); ctx cancels training between ticks. Baselines
-// ignore ctx and episodes.
+// DefaultPretrainEpisodes), through the trained-policy cache of
+// TrainedMTAT: a second call whose training inputs match skips training.
+// ctx cancels training between ticks. Baselines ignore ctx and episodes.
 func NewPolicy(ctx context.Context, name string, scn Scenario, episodes int) (policy.Policy, error) {
 	switch name {
 	case "fmem-all":
@@ -336,25 +337,27 @@ func NewPolicy(ctx context.Context, name string, scn Scenario, episodes int) (po
 		if err != nil {
 			return nil, err
 		}
-		m, err := core.New(variant, cfg)
-		if err != nil {
-			return nil, err
-		}
 		if episodes <= 0 {
 			episodes = DefaultPretrainEpisodes
 		}
-		trainScn := scn
-		trainScn.Load = loadgen.Fig7()
-		trainScn.DurationSeconds = 0
-		trainScn.TickSeconds = 0.25
-		trainScn.Telemetry = nil // training must not pollute the run's trace
-		if err := PretrainMTATContext(ctx, m, trainScn, episodes); err != nil {
+		m, _, err := TrainedMTAT(ctx, variant, cfg, mtatTrainingScenario(scn), episodes)
+		if err != nil {
 			return nil, err
 		}
-		m.ResetEpisode()
 		return m, nil
 	default:
 		return nil, fmt.Errorf("sim: unknown policy %q (valid: %s)",
 			name, strings.Join(PolicyNames(), ", "))
 	}
+}
+
+// mtatTrainingScenario is the scenario NewPolicy trains MTAT agents on:
+// the run's geometry, workloads, seed and core under the Figure 7 ramp at
+// a 0.25 s tick. The run's own load, length and tick play no part in
+// training (nor its telemetry: TrainedMTAT drops it).
+func mtatTrainingScenario(scn Scenario) Scenario {
+	scn.Load = loadgen.Fig7()
+	scn.DurationSeconds = 0
+	scn.TickSeconds = 0.25
+	return scn
 }

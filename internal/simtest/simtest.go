@@ -25,6 +25,7 @@ import (
 	"math"
 
 	"github.com/tieredmem/mtat/internal/mem"
+	"github.com/tieredmem/mtat/internal/policy"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/stats"
 )
@@ -52,6 +53,11 @@ func RunSpec(ctx context.Context, spec sim.RunSpec, referenceCore bool) (*Run, e
 	if err != nil {
 		return nil, err
 	}
+	return runPolicy(ctx, scn, pol)
+}
+
+// runPolicy executes scn under pol and captures the run.
+func runPolicy(ctx context.Context, scn sim.Scenario, pol policy.Policy) (*Run, error) {
 	r, err := sim.NewRunner(scn, pol)
 	if err != nil {
 		return nil, err

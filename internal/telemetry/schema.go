@@ -154,4 +154,9 @@ const (
 	MetricFlightDropped = "flight_events_dropped_total"
 	MetricBusPublished  = "telemetry_bus_events_total"
 	MetricBusDropped    = "telemetry_bus_dropped_total"
+
+	// Trained-policy cache (sim.PolicyCacheStats, process-wide): MTAT
+	// policy builds served from a cached agent, and those that trained.
+	MetricPolicyCacheHits   = "sim_policy_cache_hits_total"
+	MetricPolicyCacheMisses = "sim_policy_cache_misses_total"
 )

@@ -198,7 +198,9 @@ var PolicyNames = sim.PolicyNames
 
 // NewPolicyByName constructs the named policy for the scenario. MTAT
 // variants are pre-trained in-process (episodes <= 0 selects the default
-// budget); ctx cancels training between ticks.
+// budget); ctx cancels training between ticks. Trained agents are cached
+// in the process, so a second call with the same training inputs skips
+// training.
 func NewPolicyByName(ctx context.Context, name string, scn Scenario, episodes int) (Policy, error) {
 	return sim.NewPolicy(ctx, name, scn, episodes)
 }
