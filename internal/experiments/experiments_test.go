@@ -1,10 +1,22 @@
 package experiments
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "re-pin "+suiteGoldenPath)
+
+// suiteGoldenPath pins TestAllExperimentsRunTiny's report and CSVs.
+const suiteGoldenPath = "testdata/suite_tiny.golden"
 
 // tinySuite returns a suite small enough for unit tests: 1/16 scale, very
 // short training, shallow searches.
@@ -225,10 +237,15 @@ func TestSafeRatioAndClamp(t *testing.T) {
 }
 
 // TestAllExperimentsRunTiny executes the entire registry end-to-end at a
-// minimal configuration (2 training episodes, shallow searches). It
-// verifies plumbing, caching, and CSV generation, not result quality —
-// the behavioral assertions live in internal/sim and the headline numbers
-// come from cmd/mtatbench at real configurations.
+// minimal configuration (2 training episodes, shallow searches) and
+// compares the report, plus a digest of every CSV, against
+// testdata/suite_tiny.golden. It verifies plumbing, caching and CSV
+// generation, and pins the numbers so that a refactor of the suite
+// cannot move them unnoticed; the behavioral assertions live in
+// internal/sim and the headline numbers come from cmd/mtatbench at real
+// configurations. After an intended change in output, re-pin with:
+//
+//	go test ./internal/experiments -run TestAllExperimentsRunTiny -update
 func TestAllExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full-registry run in -short mode")
@@ -244,4 +261,77 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 			t.Errorf("output missing experiment %q", e.ID)
 		}
 	}
+
+	got, err := suiteGolden(out, s.Config().OutDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(suiteGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(suiteGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden (re-pin with -update): %v", err)
+	}
+	if got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("suite output differs from %s at line %d:\n got: %q\nwant: %q\n(intended change? re-pin with -update)",
+					suiteGoldenPath, i+1, g, w)
+			}
+		}
+	}
+}
+
+// suiteGolden renders a RunAll report and the CSVs in outDir as the
+// golden text: the report without the host-timed experiments (core,
+// journal) and with overhead's wall-clock lines masked, then one SHA-256
+// per CSV file.
+func suiteGolden(report, outDir string) (string, error) {
+	hostTimed := map[string]bool{"core": true, "journal": true}
+	wallClock := []string{"PP-M compute total:", "PP-M CPU share of 1 core:"}
+	var b strings.Builder
+	skip := false
+	sc := bufio.NewScanner(strings.NewReader(report))
+	for sc.Scan() {
+		line := sc.Text()
+		if id, ok := strings.CutPrefix(line, "==== "); ok {
+			id, _, _ = strings.Cut(id, ":")
+			skip = hostTimed[id]
+		}
+		if skip {
+			continue
+		}
+		for _, prefix := range wallClock {
+			if strings.HasPrefix(line, prefix) {
+				line = prefix + " <wall clock>"
+			}
+		}
+		b.WriteString(line + "\n")
+	}
+	paths, err := filepath.Glob(filepath.Join(outDir, "*.csv"))
+	if err != nil {
+		return "", err
+	}
+	sort.Strings(paths)
+	b.WriteString("==== CSV SHA-256 ====\n")
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256(data), filepath.Base(p))
+	}
+	return b.String(), nil
 }
