@@ -180,50 +180,39 @@ func run() error {
 	return nil
 }
 
-// buildPolicy constructs the requested policy, training or loading MTAT
-// agents as needed.
+// buildPolicy constructs the requested policy: an MTAT agent loaded from
+// agentPath when one is given, otherwise whatever NewPolicyByName builds
+// (MTAT variants train in-process for the given episodes).
 func buildPolicy(name string, scn mtat.Scenario, agentPath string, episodes int) (mtat.Policy, error) {
-	switch name {
-	case "mtat-full", "mtat-lconly":
-		variant := mtat.VariantFull
-		if name == "mtat-lconly" {
-			variant = mtat.VariantLCOnly
+	isMTAT := name == "mtat-full" || name == "mtat-lconly"
+	if agentPath == "" || !isMTAT {
+		if isMTAT {
+			fmt.Fprintf(os.Stderr, "training %s for %d episodes (pass -agent to skip)...\n", name, episodes)
 		}
-		cfg, err := mtat.MTATConfigFor(scn)
-		if err != nil {
-			return nil, err
-		}
-		m, err := mtat.NewMTAT(variant, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if agentPath != "" {
-			weights, err := os.ReadFile(agentPath)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.LoadAgent(weights); err != nil {
-				return nil, err
-			}
-			m.SetEvalMode(true)
-		} else {
-			fmt.Fprintf(os.Stderr, "training %s for %d episodes (pass -agent to skip)...\n",
-				m.Name(), episodes)
-			trainScn := scn
-			trainScn.Load = mtat.Fig7Load()
-			trainScn.DurationSeconds = 0
-			trainScn.TickSeconds = 0.25
-			if err := mtat.Pretrain(m, trainScn, episodes); err != nil {
-				return nil, err
-			}
-		}
-		m.ResetEpisode()
-		return m, nil
-	default:
-		// Baselines need no training; NewPolicyByName rejects unknown
-		// names with the full valid list.
-		return mtat.NewPolicyByName(context.Background(), name, scn, 0)
+		return mtat.NewPolicyByName(context.Background(), name, scn, episodes)
 	}
+	variant := mtat.VariantFull
+	if name == "mtat-lconly" {
+		variant = mtat.VariantLCOnly
+	}
+	cfg, err := mtat.MTATConfigFor(scn)
+	if err != nil {
+		return nil, err
+	}
+	m, err := mtat.NewMTAT(variant, cfg)
+	if err != nil {
+		return nil, err
+	}
+	weights, err := os.ReadFile(agentPath)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.LoadAgent(weights); err != nil {
+		return nil, err
+	}
+	m.SetEvalMode(true)
+	m.ResetEpisode()
+	return m, nil
 }
 
 func splitList(s string) []string {

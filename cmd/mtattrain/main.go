@@ -67,7 +67,7 @@ func run() error {
 	fmt.Printf("training %s on %s + %s for %d episodes (scale %d)...\n",
 		v, *lcName, *beNames, *episodes, *scale)
 	trainScn := scn
-	trainScn.TickSeconds = 0.25
+	trainScn.TickSeconds = mtat.TrainTickSeconds
 	if *httpAddr != "" {
 		// Live introspection while training: the ring buffer and metrics
 		// registry accumulate across episodes and are served read-only.

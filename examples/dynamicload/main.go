@@ -49,7 +49,7 @@ func run() error {
 
 	fmt.Printf("training MTAT (Full) for %d episodes...\n", *episodes)
 	trainScn := scn
-	trainScn.TickSeconds = 0.25 // coarser ticks during training
+	trainScn.TickSeconds = mtat.TrainTickSeconds
 	if err := mtat.Pretrain(m, trainScn, *episodes); err != nil {
 		return err
 	}

@@ -55,7 +55,7 @@ func run() error {
 	}
 	fmt.Printf("training MTAT (Full) for %d episodes...\n\n", *episodes)
 	trainScn := scn
-	trainScn.TickSeconds = 0.25
+	trainScn.TickSeconds = mtat.TrainTickSeconds
 	if err := mtat.Pretrain(m, trainScn, *episodes); err != nil {
 		return err
 	}

@@ -29,6 +29,10 @@ func runAblation(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	base, err := sim.MTATConfigFor(scn)
+	if err != nil {
+		return err
+	}
 
 	type variantSpec struct {
 		name  string
@@ -54,7 +58,7 @@ func runAblation(s *Suite, w io.Writer) error {
 	}
 	var rows []row
 	for _, v := range variants {
-		cfg := s.mtatConfig(scn)
+		cfg := base
 		v.mut(&cfg)
 		var m *core.MTAT
 		var err error

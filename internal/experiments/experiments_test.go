@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -11,6 +12,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/tieredmem/mtat/internal/core"
+	"github.com/tieredmem/mtat/internal/sim"
 )
 
 var update = flag.Bool("update", false, "re-pin "+suiteGoldenPath)
@@ -49,7 +53,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero scale", func(c *Config) { c.Scale = 0 }},
 		{"zero episodes", func(c *Config) { c.Episodes = 0 }},
-		{"zero train tick", func(c *Config) { c.TrainTickSeconds = 0 }},
 		{"no lc", func(c *Config) { c.LCNames = nil }},
 		{"no be", func(c *Config) { c.BENames = nil }},
 		{"zero probe iters", func(c *Config) { c.ProbeIters = 0 }},
@@ -166,24 +169,9 @@ func TestFig1MaxLoadsMonotone(t *testing.T) {
 	}
 }
 
-func TestPolicyListUnknown(t *testing.T) {
-	s := tinySuite(t)
-	scn, err := s.scenario("redis", 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.policyList(scn, "k", []string{"bogus"}); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	pols, err := s.policyList(scn, "k", []string{"FMEM_ALL", "TPP"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pols) != 2 || pols[0].Name() != "FMEM_ALL" || pols[1].Name() != "TPP" {
-		t.Errorf("policyList = %v", pols)
-	}
-}
-
+// TestTrainedAgentCaching checks that the suite's own training path (the
+// experiments that train on inputs of their own) trains an agent once:
+// a second call with the same inputs is a trained-policy cache hit.
 func TestTrainedAgentCaching(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping training in -short mode")
@@ -193,17 +181,52 @@ func TestTrainedAgentCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log strings.Builder
-	s.SetLogWriter(&log)
-	if _, err := s.trainedMTAT(2, scn, "cache-test"); err != nil { // VariantLCOnly
+	cfg, err := sim.MTATConfigFor(scn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := strings.Count(log.String(), "training")
-	if _, err := s.trainedMTAT(2, scn, "cache-test"); err != nil {
+	_, before := sim.PolicyCacheStats()
+	if _, err := s.train(core.VariantLCOnly, cfg, scn, "cache-test"); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(log.String(), "training"); got != first {
-		t.Error("second trainedMTAT call retrained instead of using the cache")
+	_, first := sim.PolicyCacheStats()
+	if first-before > 1 {
+		t.Fatalf("one train call missed the cache %d times", first-before)
+	}
+	if _, err := s.train(core.VariantLCOnly, cfg, scn, "cache-test"); err != nil {
+		t.Fatal(err)
+	}
+	if _, second := sim.PolicyCacheStats(); second != first {
+		t.Error("second train call retrained instead of using the cache")
+	}
+}
+
+// TestFig5AgentSharedWithNewPolicy checks that the suite's Figure 5 agent
+// is the one sim.NewPolicy serves for the same co-location described as
+// a run spec: after Figure 5 has run, building mtat-full for that spec
+// is a cache hit and trains nothing.
+func TestFig5AgentSharedWithNewPolicy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping training in -short mode")
+	}
+	s := tinySuite(t)
+	if _, err := s.fig5Results("redis"); err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Config()
+	spec := sim.RunSpec{LC: "redis", BEs: cfg.BENames, Policy: "mtat-full", Scale: cfg.Scale, Seed: cfg.Seed}
+	scn, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := sim.PolicyCacheStats()
+	if _, err := sim.NewPolicy(context.Background(), spec.Policy, scn, cfg.Episodes); err != nil {
+		t.Fatal(err)
+	}
+	gotHits, gotMisses := sim.PolicyCacheStats()
+	if gotHits != hits+1 || gotMisses != misses {
+		t.Errorf("NewPolicy after fig5: %d hits, %d misses, want 1 hit, 0 misses",
+			gotHits-hits, gotMisses-misses)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/tieredmem/mtat/internal/mem"
+	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/stats"
 	"github.com/tieredmem/mtat/internal/workload"
 )
@@ -24,6 +25,42 @@ func fig1HitRatio(sys *mem.System, lc *workload.LC, ratio float64) float64 {
 	return h
 }
 
+// fig1LC places the named LC workload alone on the suite's scaled paper
+// geometry, all of it in SMem, and returns it with its max sustainable
+// load fraction at each Figure 1 allocation ratio.
+func fig1LC(s *Suite, lcName string) (*mem.System, *workload.LC, []float64, error) {
+	scn, err := sim.PaperScenario(sim.PaperScenarioOpts{
+		LCName:  lcName,
+		BENames: []string{},
+		Scale:   s.cfg.Scale,
+		Seed:    s.cfg.Seed,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sys, err := mem.NewSystem(scn.Mem)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	lc, err := workload.NewLC(sys, scn.LC, mem.TierSMem, s.cfg.Seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	maxFracs := make([]float64, len(fig1Ratios))
+	for i, ratio := range fig1Ratios {
+		maxFracs[i] = lc.MaxStableLoadFrac(fig1HitRatio(sys, lc, ratio), 0)
+	}
+	return sys, lc, maxFracs, nil
+}
+
+// fig1MaxLoads returns, for one LC workload at the suite's scale, the max
+// sustainable load fraction at each Figure 1 allocation ratio. Used by
+// Figure 2's staged load pattern.
+func fig1MaxLoads(s *Suite, lcName string) ([]float64, error) {
+	_, _, maxFracs, err := fig1LC(s, lcName)
+	return maxFracs, err
+}
+
 // runFig1 reproduces Figure 1: per LC workload, P99 latency versus offered
 // load at FMem allocations of 0/25/50/75/100%, using the steady-state
 // queueing model. The knee of the FMem-100% curve defines the SLO, and the
@@ -31,30 +68,14 @@ func fig1HitRatio(sys *mem.System, lc *workload.LC, ratio float64) float64 {
 func runFig1(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 1: LC tail latency vs load at FMem 0/25/50/75/100%")
 	for _, name := range s.cfg.LCNames {
-		cfg, ok := workload.LCConfigByName(name)
-		if !ok {
-			return fmt.Errorf("experiments: unknown LC %q", name)
-		}
-		memCfg := mem.DefaultConfig()
-		memCfg.FMemBytes /= int64(s.cfg.Scale)
-		memCfg.SMemBytes /= int64(s.cfg.Scale)
-		memCfg.MigrationBandwidth /= int64(s.cfg.Scale)
-		cfg.RSSBytes /= int64(s.cfg.Scale)
-		sys, err := mem.NewSystem(memCfg)
+		sys, lc, maxFracs, err := fig1LC(s, name)
 		if err != nil {
 			return err
 		}
-		lc, err := workload.NewLC(sys, cfg, mem.TierSMem, s.cfg.Seed)
-		if err != nil {
-			return err
-		}
+		cfg := lc.Config()
 
 		fmt.Fprintf(w, "\n%s (SLO %.0f ms):\n", cfg.Name, cfg.SLOSeconds*1000)
 		fmt.Fprintf(w, "  %-9s %14s %12s\n", "FMem", "max KRPS", "vs FMem100%")
-		maxFracs := make([]float64, len(fig1Ratios))
-		for i, ratio := range fig1Ratios {
-			maxFracs[i] = lc.MaxStableLoadFrac(fig1HitRatio(sys, lc, ratio), 0)
-		}
 		ref := maxFracs[len(maxFracs)-1]
 		for i, ratio := range fig1Ratios {
 			fmt.Fprintf(w, "  %-9s %14.1f %12.3f\n",
@@ -64,15 +85,14 @@ func runFig1(s *Suite, w io.Writer) error {
 		}
 
 		// CSV: the full latency curves.
-		lcCopy := lc
 		err = s.writeCSV(fmt.Sprintf("fig1_%s.csv", cfg.Name), func(cw io.Writer) error {
 			set := stats.NewSeriesSet()
 			for _, ratio := range fig1Ratios {
 				series := set.Get(fmt.Sprintf("p99_ms_fmem%.0f", ratio*100))
-				hit := fig1HitRatio(sys, lcCopy, ratio)
+				hit := fig1HitRatio(sys, lc, ratio)
 				for step := 1; step <= 44; step++ {
 					frac := float64(step) / 40 // up to 110% of max load
-					p99 := lcCopy.StationaryP99(frac, hit, 0)
+					p99 := lc.StationaryP99(frac, hit, 0)
 					if p99 > 10*cfg.SLOSeconds {
 						p99 = 10 * cfg.SLOSeconds // clip divergence for plotting
 					}
@@ -86,32 +106,4 @@ func runFig1(s *Suite, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// fig1MaxLoads returns, for one LC workload at the suite's scale, the max
-// sustainable load fraction at each Figure 1 allocation ratio. Used by
-// Figure 2's staged load pattern.
-func fig1MaxLoads(s *Suite, lcName string) ([]float64, error) {
-	cfg, ok := workload.LCConfigByName(lcName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown LC %q", lcName)
-	}
-	memCfg := mem.DefaultConfig()
-	memCfg.FMemBytes /= int64(s.cfg.Scale)
-	memCfg.SMemBytes /= int64(s.cfg.Scale)
-	memCfg.MigrationBandwidth /= int64(s.cfg.Scale)
-	cfg.RSSBytes /= int64(s.cfg.Scale)
-	sys, err := mem.NewSystem(memCfg)
-	if err != nil {
-		return nil, err
-	}
-	lc, err := workload.NewLC(sys, cfg, mem.TierSMem, s.cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(fig1Ratios))
-	for i, ratio := range fig1Ratios {
-		out[i] = lc.MaxStableLoadFrac(fig1HitRatio(sys, lc, ratio), 0)
-	}
-	return out, nil
 }

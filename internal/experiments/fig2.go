@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/tieredmem/mtat/internal/loadgen"
-	"github.com/tieredmem/mtat/internal/policy"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/stats"
 )
@@ -41,7 +40,11 @@ func runFig2(s *Suite, w io.Writer) error {
 		return err
 	}
 	scn.Load = load
-	res, err := sim.RunScenario(scn, policy.NewMEMTIS())
+	memtis, err := s.policies(scn, "memtis")
+	if err != nil {
+		return err
+	}
+	res, err := sim.RunScenario(scn, memtis[0])
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // fig5Results runs (or returns cached) dynamic-load runs for one LC
-// workload under every comparison policy: the §5.1 setup of one LC plus
-// the suite's BE set under the Figure 7 ramp.
+// workload under every comparison policy, keyed by policy name: the §5.1
+// setup of one LC plus the suite's BE set under the Figure 7 ramp.
 func (s *Suite) fig5Results(lcName string) (map[string]*sim.Result, error) {
 	if cached, ok := s.fig5[lcName]; ok {
 		return cached, nil
@@ -20,19 +20,20 @@ func (s *Suite) fig5Results(lcName string) (map[string]*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pols, err := s.policyList(scn, "fig5/"+lcName, allPolicies())
+	names := allPolicies()
+	pols, err := s.policies(scn, names...)
 	if err != nil {
 		return nil, err
 	}
 	results := make(map[string]*sim.Result, len(pols))
-	for _, pol := range pols {
+	for i, pol := range pols {
 		resetPolicy(pol)
 		s.logf("fig5: running %s / %s", lcName, pol.Name())
 		res, err := sim.RunScenario(scn, pol)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 %s/%s: %w", lcName, pol.Name(), err)
 		}
-		results[pol.Name()] = res
+		results[names[i]] = res
 	}
 	s.fig5[lcName] = results
 	return results, nil
@@ -58,7 +59,7 @@ func runFig5(s *Suite, w io.Writer) error {
 		for _, name := range allPolicies() {
 			res := results[name]
 			fmt.Fprintf(w, "  %-16s %9.1f%% %12.1f %12.3f %10v\n",
-				name, res.LCViolationRate*100, res.LCMaxP99*1000,
+				res.Policy, res.LCViolationRate*100, res.LCMaxP99*1000,
 				res.LCFMemRatio.At(120), res.SLOMet)
 		}
 
@@ -72,8 +73,8 @@ func runFig5(s *Suite, w io.Writer) error {
 			}
 			for _, name := range allPolicies() {
 				res := results[name]
-				p99 := set.Get("p99_ms_" + name)
-				ratio := set.Get("fmem_" + name)
+				p99 := set.Get("p99_ms_" + res.Policy)
+				ratio := set.Get("fmem_" + res.Policy)
 				for i, t := range res.Time.Times {
 					p99.Append(t, res.LCP99.Values[i]*1000)
 					ratio.Append(t, res.LCFMemRatio.Values[i])
@@ -96,11 +97,12 @@ func runFig5(s *Suite, w io.Writer) error {
 func runFig6(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 6: BE fairness and throughput per policy (mean over LC co-locations)")
 	type agg struct {
+		label    string
 		fairness []float64
 		tput     []float64
 	}
 	byPolicy := make(map[string]*agg)
-	comparison := []string{"TPP", "MEMTIS", "MTAT (LC Only)", "MTAT (Full)"}
+	comparison := []string{"tpp", "memtis", "mtat-lconly", "mtat-full"}
 	for _, lcName := range s.cfg.LCNames {
 		results, err := s.fig5Results(lcName)
 		if err != nil {
@@ -109,15 +111,15 @@ func runFig6(s *Suite, w io.Writer) error {
 		for _, name := range comparison {
 			a := byPolicy[name]
 			if a == nil {
-				a = &agg{}
+				a = &agg{label: results[name].Policy}
 				byPolicy[name] = a
 			}
 			a.fairness = append(a.fairness, results[name].BEFairness)
 			a.tput = append(a.tput, results[name].BEThroughput)
 		}
 	}
-	memtisFair := stats.Mean(byPolicy["MEMTIS"].fairness)
-	memtisTput := stats.Mean(byPolicy["MEMTIS"].tput)
+	memtisFair := stats.Mean(byPolicy["memtis"].fairness)
+	memtisTput := stats.Mean(byPolicy["memtis"].tput)
 	fmt.Fprintf(w, "%-16s %10s %12s %12s %12s\n",
 		"policy", "fairness", "vs MEMTIS", "throughput", "vs MEMTIS")
 	for _, name := range comparison {
@@ -125,13 +127,13 @@ func runFig6(s *Suite, w io.Writer) error {
 		f := stats.Mean(a.fairness)
 		tp := stats.Mean(a.tput)
 		fmt.Fprintf(w, "%-16s %10.3f %12.2fx %12.3g %12.2fx\n",
-			name, f, safeRatio(f, memtisFair), tp, safeRatio(tp, memtisTput))
+			a.label, f, safeRatio(f, memtisFair), tp, safeRatio(tp, memtisTput))
 	}
 	return s.writeCSV("fig6_be_fairness_throughput.csv", func(cw io.Writer) error {
 		fmt.Fprintln(cw, "policy,fairness,throughput")
 		for _, name := range comparison {
 			a := byPolicy[name]
-			fmt.Fprintf(cw, "%s,%g,%g\n", name, stats.Mean(a.fairness), stats.Mean(a.tput))
+			fmt.Fprintf(cw, "%s,%g,%g\n", a.label, stats.Mean(a.fairness), stats.Mean(a.tput))
 		}
 		return nil
 	})

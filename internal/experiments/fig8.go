@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"github.com/tieredmem/mtat/internal/loadgen"
-	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/policy"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/stats"
@@ -14,19 +13,7 @@ import (
 
 // maxLoadProbe runs a constant-load probe and reports SLO compliance.
 func (s *Suite) maxLoadProbe(scn sim.Scenario, pol policy.Policy, frac float64) (bool, error) {
-	load, err := loadgen.NewConstant(frac, s.cfg.ProbeSeconds)
-	if err != nil {
-		return false, err
-	}
-	probe := scn
-	probe.Load = load
-	probe.DurationSeconds = s.cfg.ProbeSeconds
-	probe.WarmupSeconds = s.cfg.ProbeWarmup
-	// Probes measure steady state reached from below: the LC workload
-	// starts in SMem and the policy earns its allocation.
-	probe.LCInitialTier = mem.TierSMem
-	resetPolicy(pol)
-	res, err := sim.RunScenario(probe, pol)
+	res, err := s.constantRun(scn, pol, frac, s.cfg.ProbeSeconds, s.cfg.ProbeWarmup)
 	if err != nil {
 		return false, err
 	}
@@ -78,54 +65,45 @@ func (s *Suite) searchMaxLoad(scn sim.Scenario, pol policy.Policy) (float64, err
 func runFig8(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 8: max SLO-compliant load, normalized to FMEM_ALL")
 	polNames := allPolicies()
-	rows := make(map[string][]float64, len(polNames)) // policy -> per-LC normalized
+	ref := slices.Index(polNames, "fmem-all")
+	labels := make([]string, len(polNames))
+	rows := make([][]float64, len(polNames)) // per policy: per-LC normalized
 	fmt.Fprintf(w, "%-16s", "policy")
 	for _, lcName := range s.cfg.LCNames {
 		fmt.Fprintf(w, " %10s", lcName)
 	}
 	fmt.Fprintf(w, " %10s\n", "geomean")
 
-	perLC := make(map[string]map[string]float64, len(s.cfg.LCNames))
 	for _, lcName := range s.cfg.LCNames {
 		scn, err := s.scenario(lcName, 0, 0, nil)
 		if err != nil {
 			return err
 		}
-		pols, err := s.policyList(scn, "fig5/"+lcName, polNames)
+		pols, err := s.policies(scn, polNames...)
 		if err != nil {
 			return err
 		}
-		perLC[lcName] = make(map[string]float64, len(pols))
-		var ref float64
-		for _, pol := range pols {
+		maxFracs := make([]float64, len(pols))
+		for i, pol := range pols {
+			labels[i] = pol.Name()
 			s.logf("fig8: searching max load %s / %s", lcName, pol.Name())
-			maxFrac, err := s.searchMaxLoad(scn, pol)
-			if err != nil {
+			if maxFracs[i], err = s.searchMaxLoad(scn, pol); err != nil {
 				return err
 			}
-			perLC[lcName][pol.Name()] = maxFrac
-			if pol.Name() == "FMEM_ALL" {
-				ref = maxFrac
-			}
 		}
-		if ref == 0 {
+		if maxFracs[ref] == 0 {
 			return fmt.Errorf("experiments: fig8 %s: FMEM_ALL sustained no load", lcName)
 		}
-		for name, v := range perLC[lcName] {
-			perLC[lcName][name] = v / ref
+		for i, v := range maxFracs {
+			rows[i] = append(rows[i], v/maxFracs[ref])
 		}
 	}
-	for _, name := range polNames {
-		fmt.Fprintf(w, "%-16s", name)
-		vals := make([]float64, 0, len(s.cfg.LCNames))
-		for _, lcName := range s.cfg.LCNames {
-			v := perLC[lcName][name]
-			vals = append(vals, v)
+	for i, vals := range rows {
+		fmt.Fprintf(w, "%-16s", labels[i])
+		for _, v := range vals {
 			fmt.Fprintf(w, " %10.3f", v)
 		}
-		gm := stats.GeoMean(vals)
-		rows[name] = vals
-		fmt.Fprintf(w, " %10.3f\n", gm)
+		fmt.Fprintf(w, " %10.3f\n", stats.GeoMean(vals))
 	}
 	return s.writeCSV("fig8_max_load.csv", func(cw io.Writer) error {
 		fmt.Fprint(cw, "policy")
@@ -133,9 +111,9 @@ func runFig8(s *Suite, w io.Writer) error {
 			fmt.Fprintf(cw, ",%s", lcName)
 		}
 		fmt.Fprintln(cw)
-		for _, name := range polNames {
-			fmt.Fprint(cw, name)
-			for _, v := range rows[name] {
+		for i, vals := range rows {
+			fmt.Fprint(cw, labels[i])
+			for _, v := range vals {
 				fmt.Fprintf(cw, ",%g", v)
 			}
 			fmt.Fprintln(cw)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/tieredmem/mtat/internal/loadgen"
-	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/sim"
 )
 
@@ -14,7 +12,7 @@ var fig9Loads = []float64{0.2, 0.5, 0.8}
 
 // fig9Policies is the §5.3 comparison set.
 func fig9Policies() []string {
-	return []string{"MTAT (Full)", "MTAT (LC Only)", "MEMTIS", "TPP"}
+	return []string{"mtat-full", "mtat-lconly", "memtis", "tpp"}
 }
 
 // fig9Results runs (or returns cached) the constant-load Redis runs
@@ -27,32 +25,22 @@ func (s *Suite) fig9Results() (map[string]map[float64]*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	const duration = 90.0
-	pols, err := s.policyList(scn, "fig5/redis", fig9Policies())
+	names := fig9Policies()
+	pols, err := s.policies(scn, names...)
 	if err != nil {
 		return nil, err
 	}
-	for _, pol := range pols {
+	for i, pol := range pols {
 		byLoad := make(map[float64]*sim.Result, len(fig9Loads))
 		for _, loadFrac := range fig9Loads {
-			load, err := loadgen.NewConstant(loadFrac, duration)
-			if err != nil {
-				return nil, err
-			}
-			run := scn
-			run.Load = load
-			run.DurationSeconds = duration
-			run.WarmupSeconds = 20
-			run.LCInitialTier = mem.TierSMem
-			resetPolicy(pol)
 			s.logf("fig9: running %s at %.0f%% load", pol.Name(), loadFrac*100)
-			res, err := sim.RunScenario(run, pol)
+			res, err := s.constantRun(scn, pol, loadFrac, 90, 20)
 			if err != nil {
 				return nil, err
 			}
 			byLoad[loadFrac] = res
 		}
-		s.fig9[pol.Name()] = byLoad
+		s.fig9[names[i]] = byLoad
 	}
 	return s.fig9, nil
 }
@@ -76,7 +64,7 @@ func runFig9(s *Suite, w io.Writer) error {
 		for _, name := range fig9Policies() {
 			res := results[name][loadFrac]
 			lcFMem := res.LCFMemRatio.Mean()
-			fmt.Fprintf(w, "  %-16s %10.3f %12.4g %14.3f", name, res.BEFairness, res.BEThroughput, lcFMem)
+			fmt.Fprintf(w, "  %-16s %10.3f %12.4g %14.3f", res.Policy, res.BEFairness, res.BEThroughput, lcFMem)
 			fmt.Fprint(w, " [")
 			for i, be := range res.BEs {
 				if i > 0 {
@@ -93,7 +81,7 @@ func runFig9(s *Suite, w io.Writer) error {
 			for _, loadFrac := range fig9Loads {
 				res := results[name][loadFrac]
 				fmt.Fprintf(cw, "%s,%g,%g,%g,%g\n",
-					name, loadFrac, res.BEFairness, res.BEThroughput, res.LCFMemRatio.Mean())
+					res.Policy, loadFrac, res.BEFairness, res.BEThroughput, res.LCFMemRatio.Mean())
 			}
 		}
 		return nil
@@ -111,7 +99,7 @@ func runTable4(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "Table 4: SLO violation rates (%)")
 	fmt.Fprintf(w, "%-16s %12s %12s %12s\n", "policy", "Max Load 20%", "Max Load 50%", "Max Load 80%")
 	for _, name := range fig9Policies() {
-		fmt.Fprintf(w, "%-16s", name)
+		fmt.Fprintf(w, "%-16s", results[name][fig9Loads[0]].Policy)
 		for _, loadFrac := range fig9Loads {
 			fmt.Fprintf(w, " %12.1f", results[name][loadFrac].LCViolationRate*100)
 		}
@@ -120,7 +108,7 @@ func runTable4(s *Suite, w io.Writer) error {
 	return s.writeCSV("table4_slo_violations.csv", func(cw io.Writer) error {
 		fmt.Fprintln(cw, "policy,load20,load50,load80")
 		for _, name := range fig9Policies() {
-			fmt.Fprintf(cw, "%s,%g,%g,%g\n", name,
+			fmt.Fprintf(cw, "%s,%g,%g,%g\n", results[name][0.2].Policy,
 				results[name][0.2].LCViolationRate*100,
 				results[name][0.5].LCViolationRate*100,
 				results[name][0.8].LCViolationRate*100)

@@ -20,8 +20,10 @@ func runMonitoring(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	perPage := policy.NewMEMTIS()
-	regions := policy.NewRegionMEMTIS()
+	pols, err := s.policies(scn, "memtis", "memtis-region")
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintln(w, "Monitoring (extension): per-page vs region-based MEMTIS, Figure 5 scenario")
 	fmt.Fprintf(w, "%-18s %10s %12s %12s %14s\n",
@@ -33,7 +35,7 @@ func runMonitoring(s *Suite, w io.Writer) error {
 		counters             int
 	}
 	var rows []row
-	for _, pol := range []policy.Policy{perPage, regions} {
+	for _, pol := range pols {
 		s.logf("monitoring: running %s", pol.Name())
 		runner, err := sim.NewRunner(scn, pol)
 		if err != nil {

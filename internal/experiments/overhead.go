@@ -19,7 +19,12 @@ func runOverhead(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := s.trainedMTAT(core.VariantFull, scn, "fig5/redis")
+	pols, err := s.policies(scn, "mtat-full")
+	if err != nil {
+		return err
+	}
+	m := pols[0].(*core.MTAT)
+	cfg, err := sim.MTATConfigFor(scn)
 	if err != nil {
 		return err
 	}
@@ -38,7 +43,7 @@ func runOverhead(s *Suite, w io.Writer) error {
 	bwGBs := float64(res.MigratedBytes) * float64(s.cfg.Scale) / scn.Load.Duration() / 1e9
 
 	fmt.Fprintln(w, "Overhead (§5.5): MTAT (Full) managing Redis + 4 BE workloads")
-	fmt.Fprintf(w, "PP-M decisions:            %d (every %.1f s)\n", decisions, s.mtatConfig(scn).IntervalSeconds)
+	fmt.Fprintf(w, "PP-M decisions:            %d (every %.1f s)\n", decisions, cfg.IntervalSeconds)
 	fmt.Fprintf(w, "PP-M compute total:        %v\n", compute)
 	fmt.Fprintf(w, "PP-M CPU share of 1 core:  %.2f%% (paper: < 7%%)\n", cpuShare*100)
 	fmt.Fprintf(w, "PP-E migration traffic:    %.2f GB/s avg (paper: ~4 GB/s)\n", bwGBs)

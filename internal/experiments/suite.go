@@ -5,9 +5,16 @@
 // SLO-violation studies (Figure 9, Table 4), the settings sweep (Table 3),
 // and the overhead measurements (§5.5).
 //
-// Experiments share a Suite, which caches completed scenario runs so that,
-// e.g., Figure 6 reuses Figure 5's runs and Table 4 reuses Figure 9's.
-// Trained MTAT agents are shared through sim's trained-policy cache.
+// Experiments build their scenarios with sim.PaperScenario and their
+// policies with sim.NewPolicy, by sim.PolicyNames entry; reports label a
+// policy by its Name. MTAT agents are sized by sim.MTATConfigFor and
+// trained at sim.TrainTickSeconds through sim's trained-policy cache, so
+// an agent trained once (e.g. Figure 5's) serves every experiment with
+// the same training inputs. Only the experiments that train on a load of
+// their own (surge, Table 3) or on a changed configuration (ablation)
+// call sim.TrainedMTAT directly. A Suite caches completed scenario runs
+// so that, e.g., Figure 6 reuses Figure 5's runs and Table 4 reuses
+// Figure 9's.
 package experiments
 
 import (
@@ -18,9 +25,10 @@ import (
 	"path/filepath"
 
 	"github.com/tieredmem/mtat/internal/core"
+	"github.com/tieredmem/mtat/internal/loadgen"
+	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/policy"
 	"github.com/tieredmem/mtat/internal/sim"
-	"github.com/tieredmem/mtat/internal/workload"
 )
 
 // Config scopes an experiment suite.
@@ -31,9 +39,6 @@ type Config struct {
 	Scale int
 	// Episodes is the number of pre-training episodes per MTAT agent.
 	Episodes int
-	// TrainTickSeconds is the simulation tick used during pre-training;
-	// coarser than the evaluation tick (0.1 s) to cut training cost.
-	TrainTickSeconds float64
 	// Seed drives all randomness.
 	Seed int64
 	// OutDir receives CSV artifacts; empty disables CSV output.
@@ -64,15 +69,14 @@ type Table3Setting struct {
 // Default returns the full paper-scale configuration.
 func Default() Config {
 	return Config{
-		Scale:            1,
-		Episodes:         60,
-		TrainTickSeconds: 0.25,
-		Seed:             1,
-		LCNames:          []string{"redis", "memcached", "mongodb", "silo"},
-		BENames:          []string{"sssp", "bfs", "pr", "xsbench"},
-		ProbeIters:       7,
-		ProbeSeconds:     40,
-		ProbeWarmup:      15,
+		Scale:        1,
+		Episodes:     60,
+		Seed:         1,
+		LCNames:      []string{"redis", "memcached", "mongodb", "silo"},
+		BENames:      []string{"sssp", "bfs", "pr", "xsbench"},
+		ProbeIters:   7,
+		ProbeSeconds: 40,
+		ProbeWarmup:  15,
 		Table3Settings: []Table3Setting{
 			{4, 20, 2}, {4, 20, 4}, {10, 14, 2}, {10, 14, 4}, {16, 8, 2}, {16, 8, 4},
 		},
@@ -102,9 +106,6 @@ func (c Config) Validate() error {
 	if c.Episodes < 1 {
 		return fmt.Errorf("experiments: Episodes must be >= 1, got %d", c.Episodes)
 	}
-	if c.TrainTickSeconds <= 0 {
-		return fmt.Errorf("experiments: TrainTickSeconds must be > 0, got %g", c.TrainTickSeconds)
-	}
 	if len(c.LCNames) == 0 {
 		return fmt.Errorf("experiments: need at least one LC workload")
 	}
@@ -123,7 +124,8 @@ type Suite struct {
 	cfg Config
 	// fig5 caches the dynamic-load runs: lcName -> policy name -> result.
 	fig5 map[string]map[string]*sim.Result
-	// fig9 caches the constant-load Redis runs: policy -> load -> result.
+	// fig9 caches the constant-load Redis runs: policy name -> load ->
+	// result. Policy names are sim.PolicyNames entries.
 	fig9 map[string]map[float64]*sim.Result
 	// log receives progress lines (nil = quiet).
 	log io.Writer
@@ -169,76 +171,33 @@ func (s *Suite) scenario(lcName string, lcServers, beCoresTotal int, beNames []s
 	})
 }
 
-// mtatConfig sizes a PPM configuration for the scenario. The access-count
-// normalization accounts for reduced serving capacity when the scenario
-// runs the LC workload on fewer cores than its profile (Table 3's sweeps):
-// capacity, and therefore the peak access rate, scales with core count.
-func (s *Suite) mtatConfig(scn sim.Scenario) core.PPMConfig {
-	effMax := scn.LC.MaxLoadRPS * float64(scn.LC.MemTouches)
-	if prof, ok := workload.LCConfigByName(scn.LC.Name); ok && prof.Servers > 0 {
-		effMax *= float64(scn.LC.Servers) / float64(prof.Servers)
+// policies builds a fresh policy per sim.PolicyNames entry for scn. MTAT
+// variants come pre-trained, on scn's geometry under the Figure 7 ramp,
+// for the suite's episode budget.
+func (s *Suite) policies(scn sim.Scenario, names ...string) ([]policy.Policy, error) {
+	pols := make([]policy.Policy, len(names))
+	for i, name := range names {
+		pol, err := sim.NewPolicy(context.Background(), name, scn, s.cfg.Episodes)
+		if err != nil {
+			return nil, err
+		}
+		pols[i] = pol
 	}
-	cfg := core.DefaultPPMConfig(scn.LC.SLOSeconds, effMax)
-	cfg.BEUnitPages = 256 / s.cfg.Scale
-	if cfg.BEUnitPages < 1 {
-		cfg.BEUnitPages = 1
-	}
-	return cfg
-}
-
-// trainedMTAT returns a frozen, evaluation-mode MTAT policy of the given
-// variant for scn, trained on the scenario's load pattern; label names
-// the agent in the progress log.
-func (s *Suite) trainedMTAT(variant core.Variant, scn sim.Scenario, label string) (*core.MTAT, error) {
-	return s.train(variant, s.mtatConfig(scn), scn, fmt.Sprintf("%s for %s", variant, label))
+	return pols, nil
 }
 
 // train returns a frozen, evaluation-mode MTAT agent of the variant,
-// trained with cfg on scn's load pattern at the suite's training tick.
-// Agents come from sim's trained-policy cache, so a second call with the
-// same training inputs, from any experiment, skips training; only a
-// call that trains logs "training <what>".
-func (s *Suite) train(variant core.Variant, cfg core.PPMConfig, scn sim.Scenario, what string) (*core.MTAT, error) {
-	trainScn := scn
-	trainScn.TickSeconds = s.cfg.TrainTickSeconds
+// trained with cfg on trainScn's load pattern at sim.TrainTickSeconds,
+// for the experiments that train on inputs of their own. Agents come
+// from sim's trained-policy cache; only a call that trains logs
+// "training <what>".
+func (s *Suite) train(variant core.Variant, cfg core.PPMConfig, trainScn sim.Scenario, what string) (*core.MTAT, error) {
+	trainScn.TickSeconds = sim.TrainTickSeconds
 	m, trained, err := sim.TrainedMTAT(context.Background(), variant, cfg, trainScn, s.cfg.Episodes)
 	if trained {
 		s.logf("training %s (%d episodes)...", what, s.cfg.Episodes)
 	}
 	return m, err
-}
-
-// policyList builds a fresh policy instance per name. MTAT variants are
-// trained for the given scenario/key.
-func (s *Suite) policyList(scn sim.Scenario, key string, names []string) ([]policy.Policy, error) {
-	out := make([]policy.Policy, 0, len(names))
-	for _, name := range names {
-		switch name {
-		case "FMEM_ALL":
-			out = append(out, policy.NewFMemAll())
-		case "SMEM_ALL":
-			out = append(out, policy.NewSMemAll())
-		case "MEMTIS":
-			out = append(out, policy.NewMEMTIS())
-		case "TPP":
-			out = append(out, policy.NewTPP())
-		case "MTAT (Full)":
-			m, err := s.trainedMTAT(core.VariantFull, scn, key)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		case "MTAT (LC Only)":
-			m, err := s.trainedMTAT(core.VariantLCOnly, scn, key)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		default:
-			return nil, fmt.Errorf("experiments: unknown policy %q", name)
-		}
-	}
-	return out, nil
 }
 
 // resetPolicy prepares a policy for a fresh run.
@@ -248,9 +207,27 @@ func resetPolicy(p policy.Policy) {
 	}
 }
 
+// constantRun runs pol on scn under a constant load of frac for duration
+// seconds, excluding the first warmup seconds from aggregates. The LC
+// workload starts in SMem, so the run measures the steady state a policy
+// reaches from below, earning its allocation.
+func (s *Suite) constantRun(scn sim.Scenario, pol policy.Policy, frac, duration, warmup float64) (*sim.Result, error) {
+	load, err := loadgen.NewConstant(frac, duration)
+	if err != nil {
+		return nil, err
+	}
+	run := scn
+	run.Load = load
+	run.DurationSeconds = duration
+	run.WarmupSeconds = warmup
+	run.LCInitialTier = mem.TierSMem
+	resetPolicy(pol)
+	return sim.RunScenario(run, pol)
+}
+
 // allPolicies is the §5.1 comparison order.
 func allPolicies() []string {
-	return []string{"FMEM_ALL", "SMEM_ALL", "TPP", "MEMTIS", "MTAT (LC Only)", "MTAT (Full)"}
+	return []string{"fmem-all", "smem-all", "tpp", "memtis", "mtat-lconly", "mtat-full"}
 }
 
 // writeCSV renders a CSV artifact into OutDir (no-op without OutDir).

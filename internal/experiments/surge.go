@@ -6,7 +6,6 @@ import (
 
 	"github.com/tieredmem/mtat/internal/core"
 	"github.com/tieredmem/mtat/internal/loadgen"
-	"github.com/tieredmem/mtat/internal/policy"
 	"github.com/tieredmem/mtat/internal/sim"
 )
 
@@ -30,7 +29,21 @@ func runSurge(s *Suite, w io.Writer) error {
 	scn.Load = load
 	scn.SettleSeconds = -1 // count every request: the transient is the point
 
-	names := []string{"FMEM_ALL", "MEMTIS", "Heuristic", "MTAT (Full)"}
+	pols, err := s.policies(scn, "fmem-all", "memtis", "heuristic")
+	if err != nil {
+		return err
+	}
+	// MTAT trains on the surge pattern itself.
+	cfg, err := sim.MTATConfigFor(scn)
+	if err != nil {
+		return err
+	}
+	m, err := s.train(core.VariantFull, cfg, scn, "MTAT (Full) for surge/redis")
+	if err != nil {
+		return err
+	}
+	pols = append(pols, m)
+
 	fmt.Fprintln(w, "Surge (extension): instant 20%->100% load jump at t=60s, Redis + 4 BEs")
 	fmt.Fprintf(w, "%-14s %12s %14s %14s\n",
 		"policy", "viol rate", "recovery (s)", "peak P99 (ms)")
@@ -40,24 +53,8 @@ func runSurge(s *Suite, w io.Writer) error {
 		viol, rec, peakP99 float64
 	}
 	var rows []row
-	for _, name := range names {
-		var pol policy.Policy
-		switch name {
-		case "Heuristic":
-			pol = policy.NewHeuristic()
-		case "MTAT (Full)":
-			m, err := s.trainedMTAT(core.VariantFull, scn, "surge/redis")
-			if err != nil {
-				return err
-			}
-			pol = m
-		default:
-			list, err := s.policyList(scn, "surge/redis", []string{name})
-			if err != nil {
-				return err
-			}
-			pol = list[0]
-		}
+	for _, pol := range pols {
+		name := pol.Name()
 		resetPolicy(pol)
 		s.logf("surge: running %s", name)
 		res, err := sim.RunScenario(scn, pol)
@@ -125,12 +122,10 @@ func runExtended(s *Suite, w io.Writer) error {
 	fmt.Fprintf(w, "%-14s %10s %12s %12s %12s\n",
 		"policy", "viol rate", "max P99(ms)", "BE fairness", "BE tput")
 
-	pols := []policy.Policy{policy.NewMEMTIS(), policy.NewVTMM(), policy.NewHeuristic()}
-	m, err := s.trainedMTAT(core.VariantFull, scn, "fig5/redis")
+	pols, err := s.policies(scn, "memtis", "vtmm", "heuristic", "mtat-full")
 	if err != nil {
 		return err
 	}
-	pols = append(pols, m)
 
 	type row struct {
 		name                         string

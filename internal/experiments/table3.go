@@ -6,8 +6,6 @@ import (
 
 	"github.com/tieredmem/mtat/internal/core"
 	"github.com/tieredmem/mtat/internal/loadgen"
-	"github.com/tieredmem/mtat/internal/mem"
-	"github.com/tieredmem/mtat/internal/policy"
 	"github.com/tieredmem/mtat/internal/sim"
 )
 
@@ -48,10 +46,8 @@ func runTable3(s *Suite, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		key := fmt.Sprintf("table3/%d-%d-%d", setting.LCCores, setting.BECores, setting.NumBE)
-
 		// Reference max loads.
-		fmemAll, err := s.policyList(scn, key, []string{"FMEM_ALL"})
+		fmemAll, err := s.policies(scn, "fmem-all")
 		if err != nil {
 			return err
 		}
@@ -68,8 +64,12 @@ func runTable3(s *Suite, w io.Writer) error {
 		// rescaled so "100%" matches what FMEM_ALL sustains here.
 		trainScn := scn
 		trainScn.Load = &loadgen.Scaled{Pattern: loadgen.Fig7(), Factor: refMax}
+		cfg, err := sim.MTATConfigFor(scn)
+		if err != nil {
+			return err
+		}
 		for _, variant := range []core.Variant{core.VariantFull, core.VariantLCOnly} {
-			m, err := s.trainedMTAT(variant, trainScn, key)
+			m, err := s.train(variant, cfg, trainScn, fmt.Sprintf("%s for table3 %v", variant, setting))
 			if err != nil {
 				return err
 			}
@@ -78,15 +78,20 @@ func runTable3(s *Suite, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			row := table3Row{setting: setting, variant: variant.String(), maxLoad: maxFrac / refMax}
+			row := table3Row{setting: setting, variant: m.Name(), maxLoad: maxFrac / refMax}
 
 			for i, level := range fig9Loads {
 				frac := clamp01(level * refMax)
-				mtRes, err := s.constantRun(scn, m, frac)
+				mtRes, err := s.constantRun(scn, m, frac, 70, 20)
 				if err != nil {
 					return err
 				}
-				memtisRes, err := s.constantRun(scn, policy.NewMEMTIS(), frac)
+				// A fresh MEMTIS per run: its aging clock survives Init.
+				memtis, err := s.policies(scn, "memtis")
+				if err != nil {
+					return err
+				}
+				memtisRes, err := s.constantRun(scn, memtis[0], frac, 70, 20)
 				if err != nil {
 					return err
 				}
@@ -111,20 +116,4 @@ func runTable3(s *Suite, w io.Writer) error {
 		}
 		return nil
 	})
-}
-
-// constantRun executes one constant-load run of the scenario.
-func (s *Suite) constantRun(scn sim.Scenario, pol policy.Policy, frac float64) (*sim.Result, error) {
-	const duration = 70.0
-	load, err := loadgen.NewConstant(clamp01(frac), duration)
-	if err != nil {
-		return nil, err
-	}
-	run := scn
-	run.Load = load
-	run.DurationSeconds = duration
-	run.WarmupSeconds = 20
-	run.LCInitialTier = mem.TierSMem
-	resetPolicy(pol)
-	return sim.RunScenario(run, pol)
 }

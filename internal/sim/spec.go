@@ -279,13 +279,19 @@ func policyNeedsLC(name string) bool {
 
 // MTATConfigFor returns an MTAT configuration sized for the scenario: the
 // LC workload's SLO and peak access rate drive the RL state/reward, and
-// the BE allocation unit scales with the memory geometry.
+// the BE allocation unit scales with the memory geometry. The peak access
+// rate scales with the LC core count, as serving capacity does, when the
+// scenario runs the LC workload on more or fewer cores than its profile
+// (LCServers, Table 3's sweeps).
 func MTATConfigFor(scn Scenario) (core.PPMConfig, error) {
 	if !scn.HasLC {
 		return core.PPMConfig{}, fmt.Errorf("sim: scenario has no LC workload")
 	}
-	cfg := core.DefaultPPMConfig(scn.LC.SLOSeconds,
-		scn.LC.MaxLoadRPS*float64(scn.LC.MemTouches))
+	maxAccesses := scn.LC.MaxLoadRPS * float64(scn.LC.MemTouches)
+	if prof, ok := workload.LCConfigByName(scn.LC.Name); ok && prof.Servers > 0 {
+		maxAccesses *= float64(scn.LC.Servers) / float64(prof.Servers)
+	}
+	cfg := core.DefaultPPMConfig(scn.LC.SLOSeconds, maxAccesses)
 	if scn.Mem.PageSize > 0 {
 		unit := int((1 << 30) / scn.Mem.PageSize) // 1 GiB in pages
 		// Keep the paper's ~32 allocation units across FMem even on
@@ -351,13 +357,17 @@ func NewPolicy(ctx context.Context, name string, scn Scenario, episodes int) (po
 	}
 }
 
+// TrainTickSeconds is the simulation tick MTAT agents are pre-trained at:
+// coarser than the default evaluation tick (0.1 s), to cut training cost.
+const TrainTickSeconds = 0.25
+
 // mtatTrainingScenario is the scenario NewPolicy trains MTAT agents on:
 // the run's geometry, workloads, seed and core under the Figure 7 ramp at
-// a 0.25 s tick. The run's own load, length and tick play no part in
+// TrainTickSeconds. The run's own load, length and tick play no part in
 // training (nor its telemetry: TrainedMTAT drops it).
 func mtatTrainingScenario(scn Scenario) Scenario {
 	scn.Load = loadgen.Fig7()
 	scn.DurationSeconds = 0
-	scn.TickSeconds = 0.25
+	scn.TickSeconds = TrainTickSeconds
 	return scn
 }

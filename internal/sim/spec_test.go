@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tieredmem/mtat/internal/core"
 	"github.com/tieredmem/mtat/internal/policy"
+	"github.com/tieredmem/mtat/internal/workload"
 )
 
 func validSpec() RunSpec {
@@ -165,6 +167,52 @@ func TestNewPolicyNames(t *testing.T) {
 	if _, err := NewPolicy(context.Background(), "nope", scn, 0); err == nil ||
 		!strings.Contains(err.Error(), "memtis") {
 		t.Errorf("unknown policy error should list names, got %v", err)
+	}
+}
+
+// TestMTATConfigForLCServers pins MTATConfigFor's sizing: the PP-M load
+// feature's peak access rate follows the LC core count, and with the
+// profile's core count the configuration is exactly the profile-sized
+// one, with the BE unit of 256/scale pages (at least 1).
+func TestMTATConfigForLCServers(t *testing.T) {
+	configFor := func(lc string, servers, scale int) (Scenario, core.PPMConfig) {
+		t.Helper()
+		scn, err := PaperScenario(PaperScenarioOpts{LCName: lc, LCServers: servers, Scale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := MTATConfigFor(scn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scn, cfg
+	}
+
+	for _, lc := range workload.LCNames() {
+		for scale := 1; scale <= 300; scale++ {
+			scn, got := configFor(lc, 0, scale)
+			want := core.DefaultPPMConfig(scn.LC.SLOSeconds, scn.LC.MaxLoadRPS*float64(scn.LC.MemTouches))
+			want.BEUnitPages = max(256/scale, 1)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s scale %d: MTATConfigFor = %+v, want %+v", lc, scale, got, want)
+			}
+		}
+	}
+
+	prof, _ := workload.LCConfigByName("memcached")
+	if prof.Servers != 8 {
+		t.Fatalf("memcached profile has %d servers, want 8", prof.Servers)
+	}
+	_, base := configFor("memcached", 0, 16)
+	for _, servers := range []int{4, 16} {
+		_, got := configFor("memcached", servers, 16)
+		if want := base.MaxLoadAccesses * float64(servers) / 8; got.MaxLoadAccesses != want {
+			t.Errorf("memcached on %d cores: MaxLoadAccesses = %g, want %g (%d/8 of %g)",
+				servers, got.MaxLoadAccesses, want, servers, base.MaxLoadAccesses)
+		}
+		if got.BEUnitPages != base.BEUnitPages {
+			t.Errorf("memcached on %d cores: BEUnitPages = %d, want %d", servers, got.BEUnitPages, base.BEUnitPages)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ var untrainedSeeds atomic.Int64
 func untrainedSeed() int64 { return 1700 + untrainedSeeds.Add(1)*1000 }
 
 // freshMTAT trains spec's agent the way sim.NewPolicy does (the Figure 7
-// ramp at a 0.25 s tick) but outside the trained-policy cache.
+// ramp at sim.TrainTickSeconds) but outside the trained-policy cache.
 func freshMTAT(t *testing.T, spec sim.RunSpec, scn sim.Scenario) *core.MTAT {
 	t.Helper()
 	cfg, err := sim.MTATConfigFor(scn)
@@ -36,7 +36,7 @@ func freshMTAT(t *testing.T, spec sim.RunSpec, scn sim.Scenario) *core.MTAT {
 	trainScn := scn
 	trainScn.Load = loadgen.Fig7()
 	trainScn.DurationSeconds = 0
-	trainScn.TickSeconds = 0.25
+	trainScn.TickSeconds = sim.TrainTickSeconds
 	if err := sim.PretrainMTAT(m, trainScn, spec.Episodes); err != nil {
 		t.Fatal(err)
 	}

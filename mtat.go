@@ -79,7 +79,8 @@ type (
 	LoadPattern = loadgen.Pattern
 	// ExperimentsConfig scopes a paper-evaluation experiment suite.
 	ExperimentsConfig = experiments.Config
-	// ExperimentSuite caches trained agents and runs across experiments.
+	// ExperimentSuite caches completed runs across experiments; trained
+	// agents are shared process-wide (see NewPolicyByName).
 	ExperimentSuite = experiments.Suite
 	// Experiment is one reproducible table or figure.
 	Experiment = experiments.Experiment
@@ -211,6 +212,11 @@ func NewPolicyByName(ctx context.Context, name string, scn Scenario, episodes in
 func MTATConfigFor(scn Scenario) (MTATConfig, error) {
 	return sim.MTATConfigFor(scn)
 }
+
+// TrainTickSeconds is the simulation tick MTAT agents are pre-trained at
+// (set it as the training scenario's TickSeconds before Pretrain):
+// coarser than the default evaluation tick, to cut training cost.
+const TrainTickSeconds = sim.TrainTickSeconds
 
 // Pretrain trains an MTAT agent on the scenario's load pattern for the
 // given number of episodes, then freezes it in deterministic evaluation

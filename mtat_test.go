@@ -61,7 +61,7 @@ func TestPublicAPIMTATLifecycle(t *testing.T) {
 	// to guarantee paper-grade behavior (integration tests in
 	// internal/sim cover that).
 	trainScn := scn
-	trainScn.TickSeconds = 0.25
+	trainScn.TickSeconds = mtat.TrainTickSeconds
 	if err := mtat.Pretrain(m, trainScn, 4); err != nil {
 		t.Fatal(err)
 	}
