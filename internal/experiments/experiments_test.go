@@ -152,7 +152,7 @@ func TestFig2Runs(t *testing.T) {
 
 func TestFig1MaxLoadsMonotone(t *testing.T) {
 	s := tinySuite(t)
-	maxLoads, err := fig1MaxLoads(s, "redis")
+	_, _, maxLoads, err := fig1LC(s, "redis")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFig1MaxLoadsMonotone(t *testing.T) {
 			t.Errorf("max load not monotone in FMem ratio: %v", maxLoads)
 		}
 	}
-	if _, err := fig1MaxLoads(s, "bogus"); err == nil {
+	if _, _, _, err := fig1LC(s, "bogus"); err == nil {
 		t.Error("unknown LC accepted")
 	}
 }

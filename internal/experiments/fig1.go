@@ -27,7 +27,8 @@ func fig1HitRatio(sys *mem.System, lc *workload.LC, ratio float64) float64 {
 
 // fig1LC places the named LC workload alone on the suite's scaled paper
 // geometry, all of it in SMem, and returns it with its max sustainable
-// load fraction at each Figure 1 allocation ratio.
+// load fraction at each Figure 1 allocation ratio (Figure 2's load
+// steps).
 func fig1LC(s *Suite, lcName string) (*mem.System, *workload.LC, []float64, error) {
 	scn, err := sim.PaperScenario(sim.PaperScenarioOpts{
 		LCName:  lcName,
@@ -51,14 +52,6 @@ func fig1LC(s *Suite, lcName string) (*mem.System, *workload.LC, []float64, erro
 		maxFracs[i] = lc.MaxStableLoadFrac(fig1HitRatio(sys, lc, ratio), 0)
 	}
 	return sys, lc, maxFracs, nil
-}
-
-// fig1MaxLoads returns, for one LC workload at the suite's scale, the max
-// sustainable load fraction at each Figure 1 allocation ratio. Used by
-// Figure 2's staged load pattern.
-func fig1MaxLoads(s *Suite, lcName string) ([]float64, error) {
-	_, _, maxFracs, err := fig1LC(s, lcName)
-	return maxFracs, err
 }
 
 // runFig1 reproduces Figure 1: per LC workload, P99 latency versus offered

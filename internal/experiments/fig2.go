@@ -17,7 +17,7 @@ import (
 // load passes the FMem-25% capacity even though 25% of FMem would have
 // sufficed.
 func runFig2(s *Suite, w io.Writer) error {
-	maxLoads, err := fig1MaxLoads(s, "redis")
+	_, _, maxLoads, err := fig1LC(s, "redis")
 	if err != nil {
 		return err
 	}

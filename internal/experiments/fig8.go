@@ -13,7 +13,7 @@ import (
 
 // maxLoadProbe runs a constant-load probe and reports SLO compliance.
 func (s *Suite) maxLoadProbe(scn sim.Scenario, pol policy.Policy, frac float64) (bool, error) {
-	res, err := s.constantRun(scn, pol, frac, s.cfg.ProbeSeconds, s.cfg.ProbeWarmup)
+	res, err := constantRun(scn, pol, frac, s.cfg.ProbeSeconds, s.cfg.ProbeWarmup)
 	if err != nil {
 		return false, err
 	}

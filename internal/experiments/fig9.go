@@ -34,7 +34,7 @@ func (s *Suite) fig9Results() (map[string]map[float64]*sim.Result, error) {
 		byLoad := make(map[float64]*sim.Result, len(fig9Loads))
 		for _, loadFrac := range fig9Loads {
 			s.logf("fig9: running %s at %.0f%% load", pol.Name(), loadFrac*100)
-			res, err := s.constantRun(scn, pol, loadFrac, 90, 20)
+			res, err := constantRun(scn, pol, loadFrac, 90, 20)
 			if err != nil {
 				return nil, err
 			}

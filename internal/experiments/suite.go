@@ -211,7 +211,7 @@ func resetPolicy(p policy.Policy) {
 // seconds, excluding the first warmup seconds from aggregates. The LC
 // workload starts in SMem, so the run measures the steady state a policy
 // reaches from below, earning its allocation.
-func (s *Suite) constantRun(scn sim.Scenario, pol policy.Policy, frac, duration, warmup float64) (*sim.Result, error) {
+func constantRun(scn sim.Scenario, pol policy.Policy, frac, duration, warmup float64) (*sim.Result, error) {
 	load, err := loadgen.NewConstant(frac, duration)
 	if err != nil {
 		return nil, err

@@ -82,7 +82,7 @@ func runTable3(s *Suite, w io.Writer) error {
 
 			for i, level := range fig9Loads {
 				frac := clamp01(level * refMax)
-				mtRes, err := s.constantRun(scn, m, frac, 70, 20)
+				mtRes, err := constantRun(scn, m, frac, 70, 20)
 				if err != nil {
 					return err
 				}
@@ -91,7 +91,7 @@ func runTable3(s *Suite, w io.Writer) error {
 				if err != nil {
 					return err
 				}
-				memtisRes, err := s.constantRun(scn, memtis[0], frac, 70, 20)
+				memtisRes, err := constantRun(scn, memtis[0], frac, 70, 20)
 				if err != nil {
 					return err
 				}
