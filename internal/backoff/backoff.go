@@ -1,8 +1,9 @@
 // Package backoff is the repo's one implementation of exponential
 // backoff with jitter. Every retry loop that paces itself against a
 // remote party — mtatctl's run waiter, the fleet dispatcher's re-dispatch
-// after a node failure, the fleet client's sweep waiter — shares this
-// policy so retry storms stay de-synchronized fleet-wide.
+// after a node failure, the fleet client's sweep waiter, the experiment
+// runner's submission retry — shares this policy so retry storms stay
+// de-synchronized fleet-wide.
 package backoff
 
 import (

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -168,16 +169,14 @@ type Fleet struct {
 	bus     *telemetry.EventBus
 	fed     *Federator
 
-	jn   *journal.Journal
 	logf func(format string, args ...any)
 
-	mu       sync.Mutex
-	sweeps   map[string]*sweep
-	order    []string
-	finished []string
-	nextID   int
-	closed   bool
-	wg       sync.WaitGroup
+	mu sync.Mutex
+	// sweeps is the journaled sweep registry: IDs, submission and finish
+	// order, eviction, replay and compaction.
+	sweeps *daemonkit.Ledger[*sweep]
+	closed bool
+	wg     sync.WaitGroup
 	// resumable holds recovered unfinished sweeps between NewFleet and
 	// Resume; recoveredSweeps/recoveredCells are their startup counts.
 	resumable       []*sweep
@@ -185,6 +184,7 @@ type Fleet struct {
 	recoveredCells  int
 
 	mSweeps, mSweepsDone  *telemetry.Counter
+	mSweepsEvicted        *telemetry.Counter
 	mCellsDone            *telemetry.Counter
 	mCellsFailed          *telemetry.Counter
 	mCellsRetried         *telemetry.Counter
@@ -236,7 +236,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		tenants: cfg.Tenants,
 		bus:     cfg.Bus,
 		logf:    cfg.Logf,
-		sweeps:  make(map[string]*sweep),
 	}
 	if f.bus == nil {
 		f.bus = telemetry.NewEventBus(telemetry.BusConfig{})
@@ -245,6 +244,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	m := f.tel.Metrics()
 	f.mSweeps = m.Counter("fleet_sweeps_submitted_total")
 	f.mSweepsDone = m.Counter("fleet_sweeps_done_total")
+	f.mSweepsEvicted = m.Counter(telemetry.MetricFleetSweepsEvicted)
 	f.mCellsDone = m.Counter("fleet_cells_done_total")
 	f.mCellsFailed = m.Counter("fleet_cells_failed_total")
 	f.mCellsRetried = m.Counter("fleet_cells_retried_total")
@@ -252,23 +252,33 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f.hCellWall = m.Histogram(telemetry.MetricFleetCellWall)
 	f.gSweepsRunning = m.Gauge("fleet_sweeps_running")
 	f.gCellsRunningInternal = m.Gauge("fleet_cells_running")
+	f.sweeps = daemonkit.NewLedger(daemonkit.LedgerConfig[*sweep]{
+		Component:    "cluster",
+		Kind:         "sweep",
+		Prefix:       "s",
+		Max:          cfg.MaxSweeps,
+		CompactEvery: cfg.CompactEvery,
+		Terminal:     func(sw *sweep) bool { return sw.state.Terminal() },
+		Snapshot:     f.snapshot,
+		Evicted:      f.evicted,
+		Telemetry:    cfg.Telemetry,
+		Logf:         cfg.Logf,
+	})
 	if cfg.DataDir != "" {
-		rs := newFleetReplay()
-		jn, stats, err := journal.Open(cfg.DataDir, journal.Options{
+		stats, err := f.sweeps.Open(cfg.DataDir, journal.Options{
 			Fsync:     cfg.Fsync,
 			Telemetry: cfg.Telemetry,
-		}, rs.apply)
+		}, f.replay)
 		if err != nil {
 			reg.Close()
-			return nil, fleetDataDirError(err)
+			return nil, err
 		}
-		f.jn = jn
-		f.resumable = f.restore(rs)
+		f.resumable = f.restore()
 		if stats.Records > 0 || stats.Torn {
 			f.logf("cluster: journal replay: %d records in %d segments (torn=%v): "+
 				"%d sweeps retained, %d to resume (%d cells)",
 				stats.Records, stats.Segments, stats.Torn,
-				len(f.sweeps), f.recoveredSweeps, f.recoveredCells)
+				f.sweeps.Len(), f.recoveredSweeps, f.recoveredCells)
 		}
 	}
 	return f, nil
@@ -337,10 +347,9 @@ func (f *Fleet) SubmitCtx(ctx context.Context, spec sim.SweepSpec) (SweepStatus,
 		f.mu.Unlock()
 		return SweepStatus{}, err
 	}
-	f.nextID++
 	sweepCtx, cancel := context.WithCancel(context.Background())
 	sw := &sweep{
-		id:        fmt.Sprintf("s%06d", f.nextID),
+		id:        f.sweeps.NewID(),
 		name:      spec.Name,
 		spec:      spec,
 		state:     SweepRunning,
@@ -362,28 +371,16 @@ func (f *Fleet) SubmitCtx(ctx context.Context, spec sim.SweepSpec) (SweepStatus,
 	// Journal before registering: acceptance is the durability promise,
 	// so an unjournalable sweep is rejected rather than silently
 	// volatile.
-	if f.jn != nil {
-		var jspan *telemetry.ActiveSpan
-		if sc.Valid() {
-			_, jspan = f.tel.Spans().StartSpan(ctx, "journal.append",
-				telemetry.SA("sweep", sw.id), telemetry.SA("rec", recSweepSubmitted))
-		}
-		err := f.jn.Append(recSweepSubmitted, sweepSubmittedRec{
-			ID: sw.id, Name: sw.name, Spec: spec, SubmittedAt: sw.submitted,
-			Trace:  fleetTraceOrEmpty(sw.trace),
-			Tenant: tenant.NameOf(sw.tn),
-		})
-		jspan.End(err)
-		if err != nil {
-			f.nextID--
-			cancel()
-			tn.NoteAbandoned(len(cells), cellCost*float64(len(cells)))
-			f.mu.Unlock()
-			return SweepStatus{}, fmt.Errorf("cluster: journal submission: %w", err)
-		}
+	if err := f.sweeps.Submit(ctx, sw.id, sw, recSweepSubmitted, sweepSubmittedRec{
+		ID: sw.id, Name: sw.name, Spec: spec, SubmittedAt: sw.submitted,
+		Trace:  daemonkit.TraceOrEmpty(sw.trace),
+		Tenant: tenant.NameOf(sw.tn),
+	}); err != nil {
+		cancel()
+		tn.NoteAbandoned(len(cells), cellCost*float64(len(cells)))
+		f.mu.Unlock()
+		return SweepStatus{}, err
 	}
-	f.sweeps[sw.id] = sw
-	f.order = append(f.order, sw.id)
 	f.mSweeps.Inc()
 	f.gSweepsRunning.Set(f.gSweepsRunning.Value() + 1)
 	st := f.statusLocked(sw)
@@ -453,26 +450,12 @@ func (f *Fleet) runSweep(sw *sweep) {
 	sw.finished = time.Now()
 	sw.cancel()
 	close(sw.done)
-	f.journalLocked(recSweepFinished, sweepFinishedRec{
+	f.sweeps.Finish(sw.id, recSweepFinished, sweepFinishedRec{
 		ID: sw.id, State: state, FinishedAt: sw.finished,
 	})
-	f.maybeCompactLocked()
 	f.mSweepsDone.Inc()
 	f.gSweepsRunning.Set(f.gSweepsRunning.Value() - 1)
 	f.publishSweepLocked(sw)
-	f.finished = append(f.finished, sw.id)
-	for len(f.finished) > f.cfg.MaxSweeps {
-		evict := f.finished[0]
-		f.finished = f.finished[1:]
-		delete(f.sweeps, evict)
-		for i, id := range f.order {
-			if id == evict {
-				f.order = append(f.order[:i], f.order[i+1:]...)
-				break
-			}
-		}
-		f.bus.DropTopic(sweepTopic(evict))
-	}
 	f.mu.Unlock()
 	f.tel.Tracer().EmitMsg(f.Reg.now(), "fleet.sweep.end", telemetry.WLNone, sw.id)
 }
@@ -516,16 +499,16 @@ func (f *Fleet) runCell(ctx context.Context, sw *sweep, cr *cellRun) {
 	wall := cr.finished.Sub(cr.started).Seconds()
 	// The cell-wall histogram carries the sweep's trace as its exemplar,
 	// so a slow bucket on /metrics links straight to the trace tree.
-	f.hCellWall.ObserveExemplar(wall, fleetTraceOrEmpty(sw.trace))
+	f.hCellWall.ObserveExemplar(wall, daemonkit.TraceOrEmpty(sw.trace))
 	sw.tn.NoteDone(1, sw.cellCost)
 	if err != nil {
 		cr.state = CellFailed
 		cr.errMsg = err.Error()
 		f.mCellsFailed.Inc()
 		s := newCellSummary(sw.name, cr.cell, CellFailed, res.Node, cr.errMsg,
-			res.NodeAttempts, wall, fleetTraceOrEmpty(sw.trace), nil)
+			res.NodeAttempts, wall, daemonkit.TraceOrEmpty(sw.trace), nil)
 		cr.summary = &s
-		f.journalLocked(recCellSettled, cellSettledRec{
+		f.sweeps.Journal(recCellSettled, cellSettledRec{
 			SweepID: sw.id, Index: cr.cell.Index, Summary: s,
 		})
 		f.publishCellLocked(sw, s)
@@ -538,9 +521,9 @@ func (f *Fleet) runCell(ctx context.Context, sw *sweep, cr *cellRun) {
 	f.tenants.Cost().ObserveCellSeconds(wall)
 	f.flagSlowCellLocked(sw, cr, wall)
 	s := newCellSummary(sw.name, cr.cell, CellDone, res.Node, "",
-		res.NodeAttempts, wall, fleetTraceOrEmpty(sw.trace), &res.Status)
+		res.NodeAttempts, wall, daemonkit.TraceOrEmpty(sw.trace), &res.Status)
 	cr.summary = &s
-	f.journalLocked(recCellSettled, cellSettledRec{
+	f.sweeps.Journal(recCellSettled, cellSettledRec{
 		SweepID: sw.id, Index: cr.cell.Index, Summary: s,
 	})
 	f.publishCellLocked(sw, s)
@@ -565,7 +548,7 @@ func (f *Fleet) flagSlowCellLocked(sw *sweep, cr *cellRun, wall float64) {
 		slog.Float64("wall_s", wall),
 		slog.Float64("median_s", med),
 		slog.Float64("factor", f.cfg.SlowCellFactor),
-		slog.String("trace", fleetTraceOrEmpty(sw.trace)))
+		slog.String("trace", daemonkit.TraceOrEmpty(sw.trace)))
 }
 
 // median returns the median of xs, 0 when empty. xs is not mutated.
@@ -586,7 +569,7 @@ func median(xs []float64) float64 {
 func (f *Fleet) Get(id string) (SweepStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	if !ok {
 		return SweepStatus{}, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
 	}
@@ -597,12 +580,8 @@ func (f *Fleet) Get(id string) (SweepStatus, error) {
 func (f *Fleet) List() []SweepStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]SweepStatus, 0, len(f.order))
-	for _, id := range f.order {
-		if sw, ok := f.sweeps[id]; ok {
-			out = append(out, f.statusLocked(sw))
-		}
-	}
+	out := make([]SweepStatus, 0, f.sweeps.Len())
+	f.sweeps.Each(func(sw *sweep) { out = append(out, f.statusLocked(sw)) })
 	return out
 }
 
@@ -611,7 +590,7 @@ func (f *Fleet) List() []SweepStatus {
 // both ways) and pending cells never dispatch.
 func (f *Fleet) Cancel(id string) (SweepStatus, error) {
 	f.mu.Lock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	if !ok {
 		f.mu.Unlock()
 		return SweepStatus{}, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
@@ -628,7 +607,7 @@ func (f *Fleet) Cancel(id string) (SweepStatus, error) {
 func (f *Fleet) Results(id string) ([]CellSummary, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
 	}
@@ -644,7 +623,7 @@ func (f *Fleet) Results(id string) ([]CellSummary, error) {
 // Wait blocks until the sweep reaches a terminal state or ctx is done.
 func (f *Fleet) Wait(ctx context.Context, id string) (SweepStatus, error) {
 	f.mu.Lock()
-	sw, ok := f.sweeps[id]
+	sw, ok := f.sweeps.Get(id)
 	f.mu.Unlock()
 	if !ok {
 		return SweepStatus{}, fmt.Errorf("%w: %s", ErrSweepNotFound, id)
@@ -676,23 +655,18 @@ func (f *Fleet) Shutdown(ctx context.Context) error {
 	case <-drained:
 	case <-ctx.Done():
 		f.mu.Lock()
-		for _, sw := range f.sweeps {
+		f.sweeps.Each(func(sw *sweep) {
 			if !sw.state.Terminal() {
 				sw.cancel()
 			}
-		}
+		})
 		f.mu.Unlock()
 		<-drained
 		err = ctx.Err()
 	}
 	f.Reg.Close()
 	f.mu.Lock()
-	if f.jn != nil {
-		if cerr := f.jn.Close(); cerr != nil {
-			f.logf("cluster: journal close failed: %v", cerr)
-		}
-		f.jn = nil
-	}
+	f.sweeps.Close()
 	f.mu.Unlock()
 	return err
 }
@@ -732,15 +706,6 @@ func (f *Fleet) Ready() (bool, string) {
 // when the fleet was built without a tenant config).
 func (f *Fleet) Tenants() *tenant.Registry { return f.tenants }
 
-// fleetTraceOrEmpty renders a trace ID for a journal record, "" when
-// unset.
-func fleetTraceOrEmpty(id telemetry.TraceID) string {
-	if id.IsZero() {
-		return ""
-	}
-	return id.String()
-}
-
 // Stats reports the fleet's registry size and startup-recovery counts.
 func (f *Fleet) Stats() FleetStats {
 	nodes := len(f.Reg.Nodes())
@@ -748,17 +713,17 @@ func (f *Fleet) Stats() FleetStats {
 	defer f.mu.Unlock()
 	st := FleetStats{
 		Nodes:           nodes,
-		Sweeps:          len(f.sweeps),
+		Sweeps:          f.sweeps.Len(),
 		MaxSweeps:       f.cfg.MaxSweeps,
 		RecoveredSweeps: f.recoveredSweeps,
 		RecoveredCells:  f.recoveredCells,
 		Draining:        f.closed,
 	}
-	for _, sw := range f.sweeps {
+	f.sweeps.Each(func(sw *sweep) {
 		if !sw.state.Terminal() {
 			st.RunningSweeps++
 		}
-	}
+	})
 	return st
 }
 
@@ -804,7 +769,7 @@ func (f *Fleet) statusLocked(sw *sweep) SweepStatus {
 		State:       sw.state,
 		Cells:       len(sw.cells),
 		SubmittedAt: sw.submitted,
-		Trace:       fleetTraceOrEmpty(sw.trace),
+		Trace:       daemonkit.TraceOrEmpty(sw.trace),
 		Tenant:      tenant.NameOf(sw.tn),
 	}
 	if !sw.finished.IsZero() {

@@ -2,6 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -220,4 +224,97 @@ func waitTerminal(t *testing.T, f *Fleet, id string) SweepStatus {
 		t.Fatalf("Wait(%s): %v", id, err)
 	}
 	return st
+}
+
+// TestFleetCompactionKeepsFinishOrder: a compaction that a sweep's
+// finish triggers must snapshot that sweep in the finish order too, or
+// a restarted fleet never evicts it.
+func TestFleetCompactionKeepsFinishOrder(t *testing.T) {
+	dir := t.TempDir()
+	n1 := newTestNode(t, 2)
+	f := newTestFleetCfg(t, FleetConfig{DataDir: dir, CompactEvery: 3, MaxSweeps: 1}, n1)
+	first, err := f.Submit(sweep12())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, f, first.ID); st.State != SweepDone {
+		t.Fatalf("first sweep = %+v", st)
+	}
+	ctxSD, cancelSD := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancelSD()
+	if err := f.Shutdown(ctxSD); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	n2 := newTestNode(t, 2)
+	f2 := newTestFleetCfg(t, FleetConfig{DataDir: dir, MaxSweeps: 1}, n2)
+	f2.Resume()
+	second, err := f2.Submit(sweep12())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, f2, second.ID); st.State != SweepDone {
+		t.Fatalf("second sweep = %+v", st)
+	}
+	if _, err := f2.Get(first.ID); !errors.Is(err, ErrSweepNotFound) {
+		t.Fatalf("Get(%s) after the second sweep: %v, want ErrSweepNotFound", first.ID, err)
+	}
+	if got := f2.Stats().Sweeps; got != 1 {
+		t.Fatalf("retained %d sweeps, want 1", got)
+	}
+}
+
+// TestFleetEvictionAccounted is the fleet twin of mtatd's
+// TestEvictionAccounted: every sweep evicted past MaxSweeps bumps
+// fleet_sweeps_evicted_total and logs its ID, so retained + evicted
+// reconciles against submitted.
+func TestFleetEvictionAccounted(t *testing.T) {
+	tel := telemetry.New()
+	n1 := newTestNode(t, 2)
+	var mu sync.Mutex
+	var logged []string
+	f := newTestFleetCfg(t, FleetConfig{
+		Telemetry: tel, MaxSweeps: 2,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+		},
+	}, n1)
+	spec := sweep12()
+	spec.Policies, spec.SLOScales, spec.Seeds = []string{"memtis"}, []float64{1}, []int64{1}
+	const total = 4
+	var idList []string
+	for i := 0; i < total; i++ {
+		st, err := f.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idList = append(idList, st.ID)
+		waitTerminal(t, f, st.ID)
+	}
+	evicted := tel.Metrics().Counter(telemetry.MetricFleetSweepsEvicted).Value()
+	if evicted != total-2 {
+		t.Fatalf("evicted counter = %d, want %d", evicted, total-2)
+	}
+	retained := f.List()
+	if int(evicted)+len(retained) != total {
+		t.Fatalf("retained %d + evicted %d != submitted %d", len(retained), evicted, total)
+	}
+	if retained[0].ID != idList[total-2] || retained[1].ID != idList[total-1] {
+		t.Fatalf("retained %s,%s want %s,%s", retained[0].ID, retained[1].ID, idList[total-2], idList[total-1])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range idList[:total-2] {
+		found := false
+		for _, l := range logged {
+			if strings.Contains(l, "evicted oldest finished sweep "+id) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no eviction log line for %s (got %q)", id, logged)
+		}
+	}
 }

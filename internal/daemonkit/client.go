@@ -1,8 +1,10 @@
-// Package daemonkit is the HTTP kit mtatd and mtatfleet share: one
+// Package daemonkit is the kit mtatd and mtatfleet share: one HTTP
 // client core, one set of common routes (traces, tenants, probes,
-// metrics, pprof, the SSE firehose, the JSON error envelope), and one
+// metrics, pprof, the SSE firehose, the JSON error envelope), one
 // process bootstrap (logging, tenant loading, SIGHUP reload, graceful
-// shutdown). Each daemon adds only its domain routes and methods.
+// shutdown), and one journaled registry, Ledger (IDs, retention,
+// replay and compaction of runs or sweeps). Each daemon adds only its
+// domain routes, methods and journal records.
 package daemonkit
 
 import (

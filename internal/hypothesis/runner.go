@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/backoff"
 	"github.com/tieredmem/mtat/internal/cluster"
 	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/journal"
@@ -42,6 +43,10 @@ type NodeBackend struct {
 	MaxOutage time.Duration
 }
 
+// submitRetry paces NodeBackend.Submit's retries: 100ms doubling to
+// 1.6s, jittered so experiments sharing a daemon do not retry in step.
+var submitRetry = backoff.Policy{Base: 100 * time.Millisecond, Max: 1600 * time.Millisecond}
+
 // Submit enqueues the run, retrying transport errors and backpressure
 // (429/503) for up to MaxOutage.
 func (b *NodeBackend) Submit(ctx context.Context, spec sim.RunSpec) (server.RunStatus, error) {
@@ -67,11 +72,8 @@ func (b *NodeBackend) Submit(ctx context.Context, spec sim.RunSpec) (server.RunS
 		if time.Since(start) > maxOutage {
 			return server.RunStatus{}, fmt.Errorf("hypothesis: submit unreachable for %s: %w", maxOutage, err)
 		}
-		sleep := 100 * time.Millisecond << uint(min(attempt, 4))
-		select {
-		case <-ctx.Done():
-			return server.RunStatus{}, ctx.Err()
-		case <-time.After(sleep):
+		if err := submitRetry.Sleep(ctx, attempt); err != nil {
+			return server.RunStatus{}, err
 		}
 	}
 }

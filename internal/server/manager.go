@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/loadgen"
 	"github.com/tieredmem/mtat/internal/sim"
@@ -153,17 +154,15 @@ type run struct {
 // registry. All methods are safe for concurrent use.
 type Manager struct {
 	cfg     Config
-	jn      *journal.Journal // nil without a DataDir
 	logf    func(format string, args ...any)
 	tenants *tenant.Registry
 	bus     *telemetry.EventBus
 
-	mu        sync.Mutex
-	runs      map[string]*run
-	order     []string // submission order, for List
-	finished  []string // finish order, for result-store eviction
+	mu sync.Mutex
+	// runs is the journaled run registry: IDs, submission and finish
+	// order, result-store eviction, replay and compaction.
+	runs      *daemonkit.Ledger[*run]
 	closed    bool
-	nextID    int
 	recovered int // runs re-enqueued by journal replay at startup
 
 	// queue replaces the historical FIFO channel with the weighted
@@ -205,7 +204,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:     cfg,
 		logf:    cfg.Logf,
-		runs:    make(map[string]*run),
 		tenants: cfg.Tenants,
 		queue:   tenant.NewFairQueue[*run](),
 		bus:     cfg.Bus,
@@ -232,21 +230,31 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.gQueued = reg.Gauge("server_queue_depth")
 	m.gRunning = reg.Gauge("server_runs_running")
 	m.gRetained = reg.Gauge("server_results_retained")
+	m.runs = daemonkit.NewLedger(daemonkit.LedgerConfig[*run]{
+		Component:    "server",
+		Kind:         "run",
+		Prefix:       "r",
+		Max:          cfg.MaxRuns,
+		CompactEvery: cfg.CompactEvery,
+		Terminal:     func(r *run) bool { return r.state.Terminal() },
+		Snapshot:     m.snapshot,
+		Evicted:      m.evicted,
+		Telemetry:    cfg.Telemetry,
+		Logf:         m.logf,
+	})
 
 	var pending []*run
 	if cfg.DataDir != "" {
-		rs := newReplayState()
-		jn, stats, err := journal.Open(cfg.DataDir,
-			journal.Options{Fsync: cfg.Fsync, Telemetry: cfg.Telemetry}, rs.apply)
+		stats, err := m.runs.Open(cfg.DataDir,
+			journal.Options{Fsync: cfg.Fsync, Telemetry: cfg.Telemetry}, m.replay)
 		if err != nil {
-			return nil, dataDirError(err)
+			return nil, err
 		}
-		m.jn = jn
-		pending = m.restore(rs)
+		pending = m.restore()
 		m.recovered = len(pending)
 		if stats.Records > 0 || stats.Torn {
 			m.logf("server: journal replay: %d records, %d runs retained, %d re-enqueued, torn=%v",
-				stats.Records, len(m.runs), len(pending), stats.Torn)
+				stats.Records, m.runs.Len(), len(pending), stats.Torn)
 		}
 	}
 	// The fair queue is unbounded, so the recovered backlog re-enqueues
@@ -258,7 +266,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.queue.Push(r.tn, r)
 	}
 	m.gQueued.Set(float64(m.queue.Len()))
-	m.gRetained.Set(float64(len(m.finished)))
+	m.gRetained.Set(float64(m.runs.Retained()))
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
@@ -302,14 +310,6 @@ func (m *Manager) Ready() (bool, string) {
 	return true, "ok"
 }
 
-// traceOrEmpty renders a trace ID for a journal record, "" when unset.
-func traceOrEmpty(id telemetry.TraceID) string {
-	if id.IsZero() {
-		return ""
-	}
-	return id.String()
-}
-
 // Stats snapshots the manager's load signal — the numbers a fleet
 // scheduler weighs when placing work on this node. Served at
 // GET /api/v1/status and mirrored by the server_queue_depth,
@@ -322,20 +322,20 @@ func (m *Manager) Stats() Stats {
 		QueueDepth:      m.queue.Len(),
 		QueueCap:        m.cfg.QueueCap,
 		Tenants:         m.tenants.Count(),
-		RetainedResults: len(m.finished),
+		RetainedResults: m.runs.Retained(),
 		MaxRuns:         m.cfg.MaxRuns,
-		TotalRuns:       len(m.runs),
+		TotalRuns:       m.runs.Len(),
 		RecoveredRuns:   m.recovered,
 		Draining:        m.closed,
 	}
-	for _, r := range m.runs {
+	m.runs.Each(func(r *run) {
 		switch r.state {
 		case StateQueued:
 			s.QueuedRuns++
 		case StateRunning:
 			s.ActiveRuns++
 		}
-	}
+	})
 	return s
 }
 
@@ -383,10 +383,9 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 		m.mRejected.Inc()
 		return RunStatus{}, err
 	}
-	m.nextID++
 	runCtx, cancel := newRunContext()
 	r := &run{
-		id:        fmt.Sprintf("r%06d", m.nextID),
+		id:        m.runs.NewID(),
 		spec:      spec,
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -402,30 +401,17 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec sim.RunSpec) (RunStatus, e
 	// Journal before exposing the run: once Submit returns the ID, the
 	// acceptance must survive a crash. A failed append rejects the
 	// submission instead of silently degrading durability.
-	if m.jn != nil {
-		var jspan *telemetry.ActiveSpan
-		if sc.Valid() {
-			_, jspan = m.cfg.Telemetry.Spans().StartSpan(ctx, "journal.append",
-				telemetry.SA("run", r.id), telemetry.SA("rec", recRunSubmitted))
-		}
-		rec := runSubmittedRec{
-			ID: r.id, Spec: r.spec, SubmittedAt: r.submitted,
-			Trace: traceOrEmpty(r.trace), Tenant: tenant.NameOf(tn),
-		}
-		if err := m.jn.Append(recRunSubmitted, rec); err != nil {
-			jspan.End(err)
-			m.nextID--
-			cancel()
-			tn.NoteAbandoned(1, cost) // refund the admission charge
-			m.mRejected.Inc()
-			return RunStatus{}, fmt.Errorf("server: journal submission: %w", err)
-		}
-		jspan.End(nil)
+	if err := m.runs.Submit(ctx, r.id, r, recRunSubmitted, runSubmittedRec{
+		ID: r.id, Spec: r.spec, SubmittedAt: r.submitted,
+		Trace: daemonkit.TraceOrEmpty(r.trace), Tenant: tenant.NameOf(tn),
+	}); err != nil {
+		cancel()
+		tn.NoteAbandoned(1, cost) // refund the admission charge
+		m.mRejected.Inc()
+		return RunStatus{}, err
 	}
 	r.tel.Tracer().SetSink(m.flightSink(r.id, tenant.NameOf(tn)))
 	m.queue.Push(tn, r)
-	m.runs[r.id] = r
-	m.order = append(m.order, r.id)
 	m.mSubmitted.Inc()
 	m.gQueued.Set(float64(m.queue.Len()))
 	m.publishRunLocked(r)
@@ -458,7 +444,7 @@ func specTicks(spec sim.RunSpec) float64 {
 func (m *Manager) Get(id string) (RunStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return RunStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -469,12 +455,8 @@ func (m *Manager) Get(id string) (RunStatus, error) {
 func (m *Manager) List() []RunStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]RunStatus, 0, len(m.order))
-	for _, id := range m.order {
-		if r, ok := m.runs[id]; ok {
-			out = append(out, r.status())
-		}
-	}
+	out := make([]RunStatus, 0, m.runs.Len())
+	m.runs.Each(func(r *run) { out = append(out, r.status()) })
 	return out
 }
 
@@ -483,7 +465,7 @@ func (m *Manager) List() []RunStatus {
 func (m *Manager) Result(id string) (*sim.Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -495,7 +477,7 @@ func (m *Manager) Result(id string) (*sim.Result, error) {
 func (m *Manager) Events(id string) (*telemetry.Tracer, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -510,7 +492,7 @@ func (m *Manager) Events(id string) (*telemetry.Tracer, error) {
 func (m *Manager) Cancel(id string) (RunStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	if !ok {
 		return RunStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -528,7 +510,7 @@ func (m *Manager) Cancel(id string) (RunStatus, error) {
 // then returns the final status.
 func (m *Manager) WaitRun(ctx context.Context, id string) (RunStatus, error) {
 	m.mu.Lock()
-	r, ok := m.runs[id]
+	r, ok := m.runs.Get(id)
 	m.mu.Unlock()
 	if !ok {
 		return RunStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -564,20 +546,18 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	case <-drained:
 	case <-ctx.Done():
 		m.mu.Lock()
-		for _, r := range m.runs {
+		m.runs.Each(func(r *run) {
 			if !r.state.Terminal() {
 				r.cancel()
 			}
-		}
+		})
 		m.mu.Unlock()
 		<-drained
 		err = ctx.Err()
 	}
-	if m.jn != nil {
-		if cerr := m.jn.Close(); cerr != nil {
-			m.logf("server: journal close: %v", cerr)
-		}
-	}
+	m.mu.Lock()
+	m.runs.Close()
+	m.mu.Unlock()
 	return err
 }
 
@@ -605,7 +585,7 @@ func (m *Manager) runOne(r *run) {
 	r.started = time.Now()
 	r.tn.NoteStarted(1)
 	r.tn.ObserveQueueWait(r.started.Sub(r.submitted).Seconds())
-	m.journalLocked(recRunStarted, runStartedRec{ID: r.id, StartedAt: r.started})
+	m.runs.Journal(recRunStarted, runStartedRec{ID: r.id, StartedAt: r.started})
 	m.gQueued.Set(float64(m.queue.Len()))
 	m.gRunning.Set(m.gRunning.Value() + 1)
 	m.publishRunLocked(r)
@@ -653,8 +633,9 @@ func (m *Manager) runOne(r *run) {
 	m.mu.Unlock()
 }
 
-// finishLocked moves a run to a terminal state and evicts the oldest
-// finished runs beyond the result-store cap. Callers hold m.mu.
+// finishLocked moves a run to a terminal state; the ledger journals it
+// and evicts the oldest finished runs beyond the result-store cap.
+// Callers hold m.mu.
 func (m *Manager) finishLocked(r *run, st State, msg string, res *sim.Result) {
 	// Retire the run from its tenant's accounting: a run that was
 	// dispatched releases an active slot, one cancelled while queued
@@ -681,40 +662,15 @@ func (m *Manager) finishLocked(r *run, st State, msg string, res *sim.Result) {
 	case StateCancelled:
 		m.mCancelled.Inc()
 	}
-	m.finished = append(m.finished, r.id)
-	m.journalLocked(recRunFinished, runFinishedRec{
+	m.runs.Finish(r.id, recRunFinished, runFinishedRec{
 		ID: r.id, State: st, Error: msg, FinishedAt: r.finished,
 		Result: summarizeOrNil(res), Tenant: tenant.NameOf(r.tn),
 	})
+	m.gRetained.Set(float64(m.runs.Retained()))
 	m.mFlightDropped.Add(int64(r.tel.Tracer().Dropped()))
 	m.publishRunLocked(r)
 	m.SyncBusMetrics()
 	m.syncPolicyCacheMetrics()
-	m.evictLocked()
-	m.maybeCompactLocked()
-}
-
-// evictLocked drops the oldest finished runs beyond the result-store
-// cap. Every eviction is accounted: the server_results_evicted_total
-// counter and a log line record what vanished, so recovery tests can
-// reconcile retained+evicted against submissions. Callers hold m.mu.
-func (m *Manager) evictLocked() {
-	for len(m.finished) > m.cfg.MaxRuns {
-		evict := m.finished[0]
-		m.finished = m.finished[1:]
-		delete(m.runs, evict)
-		for i, id := range m.order {
-			if id == evict {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
-		m.bus.DropTopic(runTopic(evict))
-		m.mEvicted.Inc()
-		m.logf("server: result store full (max %d): evicted oldest finished run %s",
-			m.cfg.MaxRuns, evict)
-	}
-	m.gRetained.Set(float64(len(m.finished)))
 }
 
 // syncPolicyCacheMetrics mirrors sim's process-wide trained-policy cache

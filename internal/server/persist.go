@@ -1,25 +1,28 @@
 package server
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/journal"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/telemetry"
 	"github.com/tieredmem/mtat/internal/tenant"
 )
 
+// Crash-safe persistence, mtatd's half (DESIGN.md §10): the journal
+// record structs, how each record folds into a run, the snapshot shape,
+// and what an eviction accounts. Everything else — IDs, retention,
+// replay bookkeeping, compaction order — is the run ledger's, a
+// daemonkit.Ledger shared with mtatfleet.
+
 // Journal record types written by the manager. Deltas follow the run
-// lifecycle; a snapshot record (written by compaction) resets the whole
-// registry, so replay is snapshot + deltas since.
+// lifecycle; the run ledger (daemonkit.Ledger) writes the snapshot
+// record that compaction leaves, so replay is snapshot + deltas since.
 const (
 	recRunSubmitted = "run.submitted"
 	recRunStarted   = "run.started"
 	recRunFinished  = "run.finished"
-	recSnapshot     = "snapshot"
 )
 
 // runSubmittedRec journals an accepted submission — the durable promise
@@ -64,196 +67,120 @@ type managerSnapshot struct {
 	Finished []string    `json:"finished"`
 }
 
-// replayState accumulates journal records into the registry image the
-// manager boots from.
-type replayState struct {
-	runs     map[string]*RunStatus
-	order    []string
-	finished []string
-	nextID   int
-}
-
-func newReplayState() *replayState {
-	return &replayState{runs: make(map[string]*RunStatus)}
-}
-
-// apply folds one journal record into the state. Unknown record types
-// are skipped (forward compatibility: an old daemon replaying a newer
-// log must not crash); malformed payloads abort the replay.
-func (rs *replayState) apply(rec journal.Record) error {
+// replay folds one journal record into the run ledger. Unknown record
+// types are skipped (forward compatibility: an old daemon replaying a
+// newer log must not crash); malformed payloads abort the replay.
+func (m *Manager) replay(rec journal.Record) error {
 	switch rec.Type {
-	case recSnapshot:
+	case daemonkit.SnapshotType:
 		var snap managerSnapshot
 		if err := rec.Decode(&snap); err != nil {
 			return err
 		}
-		rs.runs = make(map[string]*RunStatus, len(snap.Runs))
-		rs.order = rs.order[:0]
-		for i := range snap.Runs {
-			st := snap.Runs[i]
-			rs.runs[st.ID] = &st
-			rs.order = append(rs.order, st.ID)
-			rs.noteID(st.ID)
-		}
-		rs.finished = append(rs.finished[:0], snap.Finished...)
-		if snap.NextID > rs.nextID {
-			rs.nextID = snap.NextID
+		m.runs.Reset(snap.NextID, snap.Finished)
+		for _, st := range snap.Runs {
+			m.runs.Add(st.ID, m.replayed(st))
 		}
 	case recRunSubmitted:
 		var r runSubmittedRec
 		if err := rec.Decode(&r); err != nil {
 			return err
 		}
-		if _, ok := rs.runs[r.ID]; ok {
-			return nil // duplicate submission record; first wins
-		}
-		rs.runs[r.ID] = &RunStatus{
+		m.runs.Add(r.ID, m.replayed(RunStatus{
 			ID: r.ID, State: StateQueued, Spec: r.Spec, SubmittedAt: r.SubmittedAt,
 			Trace: r.Trace, Tenant: r.Tenant,
-		}
-		rs.order = append(rs.order, r.ID)
-		rs.noteID(r.ID)
+		}))
 	case recRunStarted:
 		var r runStartedRec
 		if err := rec.Decode(&r); err != nil {
 			return err
 		}
-		if st, ok := rs.runs[r.ID]; ok && !st.State.Terminal() {
-			t := r.StartedAt
-			st.State, st.StartedAt = StateRunning, &t
+		if run, ok := m.runs.Get(r.ID); ok && !run.state.Terminal() {
+			run.started = r.StartedAt
 		}
 	case recRunFinished:
 		var r runFinishedRec
 		if err := rec.Decode(&r); err != nil {
 			return err
 		}
-		st, ok := rs.runs[r.ID]
+		run, ok := m.runs.Get(r.ID)
 		if !ok {
 			return nil // finished record without a submission; drop
 		}
-		t := r.FinishedAt
-		st.State, st.Error, st.FinishedAt, st.Result = r.State, r.Error, &t, r.Result
-		for _, id := range rs.finished {
-			if id == r.ID {
-				return nil
-			}
-		}
-		rs.finished = append(rs.finished, r.ID)
+		run.state, run.errMsg, run.finished, run.summary = r.State, r.Error, r.FinishedAt, r.Result
+		m.runs.NoteFinished(r.ID)
 	}
 	return nil
 }
 
-// noteID keeps nextID above every replayed run ID so recovered and new
-// runs never collide.
-func (rs *replayState) noteID(id string) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "r"))
-	if err == nil && n > rs.nextID {
-		rs.nextID = n
+// replayed rebuilds a run from its journaled status. restore arms it
+// once replay is over.
+func (m *Manager) replayed(st RunStatus) *run {
+	r := &run{
+		id:        st.ID,
+		spec:      st.Spec,
+		state:     st.State,
+		submitted: st.SubmittedAt,
+		errMsg:    st.Error,
+		summary:   st.Result,
+		// Attribution tolerates tenants that left the config since the
+		// record was written (and maps "" — every pre-tenant journal — to
+		// the anonymous tenant), so replay of old WALs is always possible.
+		tn:   m.tenants.Attribution(st.Tenant),
+		cost: m.tenants.Cost().EstimateRunSeconds(specTicks(st.Spec)),
 	}
+	if st.Trace != "" {
+		// The trace ID survives the crash for status linkage; the
+		// submit-time span does not, so a re-executed run records no
+		// further spans under it.
+		if id, err := telemetry.ParseTraceID(st.Trace); err == nil {
+			r.trace = id
+		}
+	}
+	if st.StartedAt != nil {
+		r.started = *st.StartedAt
+	}
+	if st.FinishedAt != nil {
+		r.finished = *st.FinishedAt
+	}
+	return r
 }
 
-// restore installs the replayed image into a freshly built manager
-// (called before its workers start) and returns the runs that must be
-// re-enqueued: everything the previous incarnation accepted but did not
-// finish. Queued and running runs alike restart from scratch — the
-// at-least-once contract after a crash.
-func (m *Manager) restore(rs *replayState) []*run {
+// restore arms the replayed runs (called before the workers start) and
+// returns those that must be re-enqueued: everything the previous
+// incarnation accepted but did not finish. Queued and running runs alike
+// restart from scratch — the at-least-once contract after a crash.
+func (m *Manager) restore() []*run {
 	var pending []*run
-	for _, id := range rs.order {
-		st := rs.runs[id]
-		r := &run{
-			id:        st.ID,
-			spec:      st.Spec,
-			submitted: st.SubmittedAt,
-			// Attribution tolerates tenants that left the config since
-			// the record was written (and maps "" — every pre-tenant
-			// journal — to the anonymous tenant), so replay of old WALs
-			// is always possible.
-			tn:   m.tenants.Attribution(st.Tenant),
-			cost: m.tenants.Cost().EstimateRunSeconds(specTicks(st.Spec)),
-		}
-		if st.Trace != "" {
-			// The trace ID survives the crash for status linkage; the
-			// submit-time span does not, so a re-executed run records no
-			// further spans under it.
-			if id, err := telemetry.ParseTraceID(st.Trace); err == nil {
-				r.trace = id
-			}
-		}
-		if st.State.Terminal() {
-			r.state = st.State
-			r.errMsg = st.Error
-			r.summary = st.Result
-			if st.StartedAt != nil {
-				r.started = *st.StartedAt
-			}
-			if st.FinishedAt != nil {
-				r.finished = *st.FinishedAt
-			}
+	m.runs.Each(func(r *run) {
+		r.done = make(chan struct{})
+		if r.state.Terminal() {
 			r.cancel = func() {}
-			r.done = make(chan struct{})
 			close(r.done)
-		} else {
-			r.state = StateQueued
-			r.tel = newRunTelemetry(m.cfg)
-			r.tel.Tracer().SetSink(m.flightSink(r.id, tenant.NameOf(r.tn)))
-			r.ctx, r.cancel = newRunContext()
-			r.done = make(chan struct{})
-			pending = append(pending, r)
+			return
 		}
-		m.runs[r.id] = r
-		m.order = append(m.order, r.id)
-	}
-	// Rebuild the finish-order list from IDs that still resolve, then
-	// re-apply the retention cap (it may have shrunk across the restart).
-	for _, id := range rs.finished {
-		if r, ok := m.runs[id]; ok && r.state.Terminal() {
-			m.finished = append(m.finished, id)
-		}
-	}
-	m.nextID = rs.nextID
-	m.evictLocked()
+		r.state, r.started = StateQueued, time.Time{}
+		r.tel = newRunTelemetry(m.cfg)
+		r.tel.Tracer().SetSink(m.flightSink(r.id, tenant.NameOf(r.tn)))
+		r.ctx, r.cancel = newRunContext()
+		pending = append(pending, r)
+	})
 	return pending
 }
 
-// snapshotLocked captures the registry for a compaction record. Callers
-// hold m.mu.
-func (m *Manager) snapshotLocked() managerSnapshot {
-	snap := managerSnapshot{
-		NextID:   m.nextID,
-		Finished: append([]string(nil), m.finished...),
-	}
-	for _, id := range m.order {
-		if r, ok := m.runs[id]; ok {
-			snap.Runs = append(snap.Runs, r.status())
-		}
-	}
+// snapshot is the ledger's compaction record builder.
+func (m *Manager) snapshot(nextID int, finished []string) any {
+	snap := managerSnapshot{NextID: nextID, Finished: finished}
+	m.runs.Each(func(r *run) { snap.Runs = append(snap.Runs, r.status()) })
 	return snap
 }
 
-// maybeCompactLocked snapshots the registry once enough delta records
-// have accumulated since the last compaction. Callers hold m.mu.
-func (m *Manager) maybeCompactLocked() {
-	if m.jn == nil || m.jn.Records() < int64(m.cfg.CompactEvery) {
-		return
-	}
-	if err := m.jn.Compact(recSnapshot, m.snapshotLocked()); err != nil {
-		m.logf("server: journal compaction failed: %v", err)
-	}
-}
-
-// journalLocked appends a delta record, downgrading failures to a log
-// line — an unjournaled transition costs at-least-once re-execution
-// after a crash, not correctness. Callers hold m.mu.
-func (m *Manager) journalLocked(typ string, v any) {
-	if m.jn == nil {
-		return
-	}
-	if err := m.jn.Append(typ, v); err != nil {
-		m.logf("server: journal append %s failed: %v", typ, err)
-	}
-}
-
-func dataDirError(err error) error {
-	return fmt.Errorf("server: open data dir: %w", err)
+// evicted accounts one run dropped past MaxRuns: the
+// server_results_evicted_total counter and a log line record what
+// vanished, so recovery tests can reconcile retained+evicted against
+// submissions.
+func (m *Manager) evicted(id string) {
+	m.bus.DropTopic(runTopic(id))
+	m.mEvicted.Inc()
+	m.logf("server: result store full (max %d): evicted oldest finished run %s", m.cfg.MaxRuns, id)
 }

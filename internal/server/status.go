@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"github.com/tieredmem/mtat/internal/daemonkit"
 	"github.com/tieredmem/mtat/internal/sim"
 	"github.com/tieredmem/mtat/internal/tenant"
 )
@@ -84,7 +85,7 @@ func (r *run) status() RunStatus {
 		Spec:        r.spec,
 		SubmittedAt: r.submitted,
 		Error:       r.errMsg,
-		Trace:       traceOrEmpty(r.trace),
+		Trace:       daemonkit.TraceOrEmpty(r.trace),
 		Tenant:      tenant.NameOf(r.tn),
 	}
 	if !r.started.IsZero() {

@@ -149,7 +149,7 @@ func TestDifferentialHypothesesSpecs(t *testing.T) {
 func TestReferenceCoreUsesSeedPaths(t *testing.T) {
 	spec := sim.RunSpec{
 		LC: "redis", BEs: []string{"sssp"}, Policy: "memtis",
-		Load: &sim.LoadSpec{Kind: "constant", Frac: 0.5, DurationSeconds: 10},
+		Load:  &sim.LoadSpec{Kind: "constant", Frac: 0.5, DurationSeconds: 10},
 		Scale: 32, Seed: 1,
 	}
 	ref, fast, err := RunBoth(context.Background(), spec)

@@ -129,6 +129,9 @@ const (
 	// cells flagged slower than SlowCellFactor × the sweep median.
 	MetricFleetCellWall  = "fleet_cell_wall_seconds"
 	MetricFleetSlowCells = "fleet_slow_cells_total"
+	// MetricFleetSweepsEvicted counts finished sweeps dropped past
+	// MaxSweeps, the fleet twin of server_results_evicted_total.
+	MetricFleetSweepsEvicted = "fleet_sweeps_evicted_total"
 
 	// Observability self-metrics: ring-buffer loss in the event tracer
 	// and the span store (synced by Telemetry.SyncDropStats), and the
