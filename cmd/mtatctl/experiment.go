@@ -105,7 +105,7 @@ func cmdExperimentRun(ctx context.Context, c *server.Client, args []string) erro
 		local     = fs.Bool("local", false, "run in-process, no daemon needed (slower wall clock: no fleet sharding)")
 		timeout   = fs.Duration("timeout", 0, "give up after this long (0 = forever)")
 		poll      = fs.Duration("poll", daemonkit.DefaultPollInterval, "max status poll interval")
-		maxOutage = fs.Duration("max-outage", server.DefaultMaxOutage, "tolerated daemon unreachability before failing (node mode)")
+		maxOutage = fs.Duration("max-outage", daemonkit.DefaultMaxOutage, "tolerated daemon unreachability before failing (node mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

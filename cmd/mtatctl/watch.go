@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -29,7 +28,8 @@ import (
 //
 // Connections auto-reconnect with Last-Event-ID, so a daemon restart or
 // dropped proxy resumes from the retained event ring without gaps or
-// duplicates (the same durability contract as `wait -durable`). -format
+// duplicates; failed reconnects follow daemonkit.Retry, the rule
+// `experiment run` also submits and waits under. -format
 // jsonl emits one raw event JSON per line for piping instead of the
 // human rendering.
 func cmdWatch(ctx context.Context, c *server.Client, args []string) error {
@@ -40,7 +40,7 @@ func cmdWatch(ctx context.Context, c *server.Client, args []string) error {
 	fs := flag.NewFlagSet("mtatctl watch "+kind, flag.ContinueOnError)
 	var (
 		format    = fs.String("format", "live", "output format: live (human) or jsonl (raw events)")
-		maxOutage = fs.Duration("max-outage", server.DefaultMaxOutage,
+		maxOutage = fs.Duration("max-outage", daemonkit.DefaultMaxOutage,
 			"tolerated daemon unreachability before failing")
 		fleetAddr = fs.String("fleet", "", "mtatfleet address for sweep/experiment (also $MTATFLEET_ADDR)")
 		specPath  = fs.String("f", "", `experiment spec JSON file ("-" for stdin; experiment only)`)
@@ -124,9 +124,9 @@ func (w *watcher) note(format string, args ...any) {
 }
 
 // stream runs the reconnect loop: open, consume, and on stream loss
-// reopen with the Last-Event-ID cursor until handle returns done or the
-// outage budget is spent. A successfully received event resets the
-// outage clock, mirroring WaitDurable's durability contract.
+// reopen with the Last-Event-ID cursor until handle returns done or a
+// failed open is final under daemonkit.Retry (a definitive 4xx, or the
+// outage budget spent). A successful open resets the outage clock.
 func (w *watcher) stream(ctx context.Context,
 	open func(ctx context.Context, lastEventID string) (*telemetry.SSEStream, error),
 	handle func(ev telemetry.BusEvent) (done bool, err error),
@@ -135,12 +135,16 @@ func (w *watcher) stream(ctx context.Context,
 		w.seen = make(map[uint64]bool)
 	}
 	pol := backoff.Policy{Base: 250 * time.Millisecond, Max: 5 * time.Second}
-	var outageStart time.Time
+	retry := daemonkit.Retry{MaxOutage: w.maxOutage}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		st, err := open(ctx, w.lastEventID)
+		wait, final := retry.Check(ctx, err)
+		if final != nil {
+			return fmt.Errorf("watch: %w", final)
+		}
 		if err == nil {
 			done, herr := w.consume(ctx, st, handle)
 			st.Close()
@@ -148,40 +152,14 @@ func (w *watcher) stream(ctx context.Context,
 				return herr
 			}
 			// Healthy stream that ended (daemon shutdown mid-run, proxy
-			// reset): start a fresh outage window and reconnect.
-			outageStart, attempt = time.Time{}, 0
-			err = errors.New("stream closed")
-		} else if definitiveErr(err) {
-			// The daemon answered with a definitive client error
-			// (unknown ID, bad auth): not an outage, retrying cannot
-			// help.
-			return err
-		}
-		if outageStart.IsZero() {
-			outageStart = time.Now()
-		}
-		if down := time.Since(outageStart); down > w.maxOutage {
-			return fmt.Errorf("watch: daemon unreachable for %s (last error: %v)",
-				down.Round(time.Second), err)
+			// reset): reconnect from the start of the backoff.
+			attempt, err = 0, errors.New("stream closed")
 		}
 		w.note("# reconnecting (%v)", err)
-		if serr := pol.Sleep(ctx, attempt); serr != nil {
+		if serr := pol.SleepAtLeast(ctx, attempt, wait); serr != nil {
 			return serr
 		}
 	}
-}
-
-// definitiveErr reports whether the daemon answered with a client
-// error that reconnecting cannot fix — 4xx except request-timeout and
-// rate-limit backpressure, which behave like transient outages.
-func definitiveErr(err error) bool {
-	var apiErr *daemonkit.APIError
-	if !errors.As(err, &apiErr) {
-		return false
-	}
-	code := apiErr.StatusCode
-	return code >= 400 && code < 500 &&
-		code != http.StatusRequestTimeout && code != http.StatusTooManyRequests
 }
 
 // consume drains one SSE connection, dispatching events to handle.
@@ -205,8 +183,10 @@ func (w *watcher) consume(ctx context.Context, st *telemetry.SSEStream,
 		case telemetry.EvStreamReset:
 			// Daemon restarted: the bus epoch changed and the stream
 			// replayed from the start of retention. Stats baselines
-			// restart from the journal-recovered state.
+			// restart from the journal-recovered state, and event IDs
+			// restart from 1, so the old epoch's IDs must not dedup them.
 			w.note("# daemon restarted; stream reset to retained history")
+			clear(w.seen)
 			continue
 		case telemetry.EvStreamGap:
 			var gap struct {

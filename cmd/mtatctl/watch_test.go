@@ -2,65 +2,36 @@ package main
 
 import (
 	"context"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
+	"io"
+	"strings"
 	"testing"
 
-	"github.com/tieredmem/mtat/internal/cluster"
-	"github.com/tieredmem/mtat/internal/server"
+	"github.com/tieredmem/mtat/internal/telemetry"
 )
 
-// TestDefinitiveErr drives real run and sweep stream opens against a
-// daemon stub answering each status: a 4xx the daemon means (unknown
-// ID, bad auth) ends the watch, while timeouts, backpressure, 5xx and
-// transport failures are outages worth reconnecting through.
-func TestDefinitiveErr(t *testing.T) {
-	openers := map[string]func(addr string) error{
-		"run": func(addr string) error {
-			_, err := server.NewClient(addr).StreamEvents(context.Background(), "r000001", "")
-			return err
-		},
-		"sweep": func(addr string) error {
-			_, err := cluster.NewClient(addr).StreamEvents(context.Background(), "s000001", "")
-			return err
-		},
+// TestWatchResetClearsDedup: a restarted daemon numbers its bus events
+// from 1 again, so after stream.reset an event whose ID the old epoch
+// already used is new and must reach the handler — otherwise a watch
+// that rode out a restart never sees the run's terminal state.
+func TestWatchResetClearsDedup(t *testing.T) {
+	body := strings.Join([]string{
+		"id: a-1\nevent: run.state\ndata: {\"id\":1,\"kind\":\"run.state\"}\n",
+		"id: a-1\nevent: run.state\ndata: {\"id\":1,\"kind\":\"run.state\"}\n",
+		"event: stream.reset\ndata: {}\n",
+		"id: b-1\nevent: run.state\ndata: {\"id\":1,\"kind\":\"run.state\"}\n",
+	}, "\n") + "\n"
+	w := &watcher{out: io.Discard, seen: make(map[uint64]bool)}
+	handled := 0
+	done, err := w.consume(context.Background(),
+		telemetry.NewSSEStream(io.NopCloser(strings.NewReader(body))),
+		func(telemetry.BusEvent) (bool, error) { handled++; return false, nil })
+	if done || err != nil {
+		t.Fatalf("consume = %v, %v; want the stream to end for a reconnect", done, err)
 	}
-	for _, tc := range []struct {
-		code       int // 0: the daemon is down
-		definitive bool
-	}{
-		{http.StatusNotFound, true},
-		{http.StatusForbidden, true},
-		{http.StatusRequestTimeout, false},
-		{http.StatusTooManyRequests, false},
-		{http.StatusInternalServerError, false},
-		{http.StatusBadGateway, false},
-		{http.StatusServiceUnavailable, false},
-		{0, false},
-	} {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(tc.code)
-			fmt.Fprintf(w, `{"error": %q}`, http.StatusText(tc.code))
-		}))
-		if tc.code == 0 {
-			srv.Close()
-		} else {
-			defer srv.Close()
-		}
-		for stream, open := range openers {
-			err := open(srv.URL)
-			if err == nil {
-				t.Fatalf("%s stream, HTTP %d: open succeeded", stream, tc.code)
-			}
-			if got := definitiveErr(err); got != tc.definitive {
-				t.Errorf("%s stream, HTTP %d (%v): definitive = %v, want %v",
-					stream, tc.code, err, got, tc.definitive)
-			}
-		}
+	if handled != 2 {
+		t.Fatalf("handler saw %d events, want 2: the duplicate dropped, the new epoch's ID 1 kept", handled)
 	}
-	if definitiveErr(nil) {
-		t.Error("nil error is definitive")
+	if w.lastEventID != "b-1" {
+		t.Errorf("resume cursor = %q, want b-1", w.lastEventID)
 	}
 }

@@ -92,7 +92,13 @@ func (p Policy) Delay(attempt int) time.Duration {
 // Sleep waits Delay(attempt) or until ctx is done, returning ctx's error
 // in the latter case.
 func (p Policy) Sleep(ctx context.Context, attempt int) error {
-	t := time.NewTimer(p.Delay(attempt))
+	return p.SleepAtLeast(ctx, attempt, 0)
+}
+
+// SleepAtLeast is Sleep stretched to at least floor — the server's
+// Retry-After hint when it sent one.
+func (p Policy) SleepAtLeast(ctx context.Context, attempt int, floor time.Duration) error {
+	t := time.NewTimer(max(p.Delay(attempt), floor))
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -93,6 +93,23 @@ func newCellSummary(sweepName string, cell sim.Cell, state, node, errMsg string,
 	return s
 }
 
+// RunResult maps the summary's outcome back onto the node's result —
+// newCellSummary's projection run the other way, so the hypothesis
+// harness reads a fleet cell exactly as it reads a run on one node.
+func (s CellSummary) RunResult() server.RunResult {
+	return server.RunResult{
+		Policy:          s.Policy,
+		SLOMet:          s.SLOMet,
+		LCViolationRate: s.LCViolationRate,
+		LCMaxP99:        s.LCMaxP99,
+		LCMeanP99:       s.LCMeanP99,
+		BEFairness:      s.BEMinNP,
+		BEThroughput:    s.BEThroughput,
+		MigratedBytes:   s.MigratedBytes,
+		Ticks:           s.Ticks,
+	}
+}
+
 // WriteSummariesJSONL writes one JSON object per line.
 func WriteSummariesJSONL(w io.Writer, sums []CellSummary) error {
 	enc := json.NewEncoder(w)

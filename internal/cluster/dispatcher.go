@@ -223,7 +223,9 @@ func (d *Dispatcher) DoAs(ctx context.Context, spec sim.RunSpec, onBehalfOf stri
 }
 
 // isSpecRejection reports whether a submit error is a 400 — the spec is
-// invalid everywhere, so retrying on other nodes is pointless.
+// invalid everywhere, so retrying on other nodes is pointless. It is the
+// one status check outside daemonkit.Retry, on purpose: the dispatcher
+// re-places a cell on another node rather than waiting one node out.
 func isSpecRejection(err error) bool {
 	var apiErr *daemonkit.APIError
 	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusBadRequest

@@ -174,8 +174,8 @@ func (c *Client) Stream(ctx context.Context, path string, w io.Writer) error {
 
 // OpenEvents opens the SSE stream at path. lastEventID, when non-empty,
 // is sent as the Last-Event-ID resume cursor; the caller owns closing
-// the returned stream. Reconnect policy lives in the caller (mtatctl
-// watch mirrors WaitDurable's outage budget).
+// the returned stream and reconnecting (mtatctl watch judges each
+// failed open by Retry, like every other retrying client).
 func (c *Client) OpenEvents(ctx context.Context, path, lastEventID string) (*telemetry.SSEStream, error) {
 	h := http.Header{"Accept": {telemetry.SSEContentType}}
 	if lastEventID != "" {
@@ -256,14 +256,12 @@ const DefaultPollInterval = 500 * time.Millisecond
 // waiters (the fleet dispatcher runs many). poll <= 0 selects
 // DefaultPollInterval as the cap.
 //
-// check, when non-nil, sees every fetch's error (nil on success) and
-// decides what happens next: a non-nil error ends the poll with it, and
-// a wait longer than the next backoff delay stretches the sleep to a
-// server's Retry-After hint. A nil check ends the poll on the first
-// failed fetch.
+// retry, when non-nil, judges every fetch (see Retry): a final error
+// ends the poll with it, and a Retry-After longer than the next backoff
+// delay stretches the sleep to the server's hint. A nil retry ends the
+// poll on the first failed fetch.
 func Poll[T any](ctx context.Context, poll time.Duration,
-	fetch func(context.Context) (T, error), terminal func(T) bool,
-	check func(error) (time.Duration, error),
+	fetch func(context.Context) (T, error), terminal func(T) bool, retry *Retry,
 ) (T, error) {
 	if poll <= 0 {
 		poll = DefaultPollInterval
@@ -274,8 +272,8 @@ func Poll[T any](ctx context.Context, poll time.Duration,
 	for attempt := 0; ; attempt++ {
 		v, ferr := fetch(ctx)
 		wait, err := time.Duration(0), ferr
-		if check != nil {
-			wait, err = check(ferr)
+		if retry != nil {
+			wait, err = retry.Check(ctx, ferr)
 		}
 		if err != nil {
 			return zero, err
@@ -283,24 +281,8 @@ func Poll[T any](ctx context.Context, poll time.Duration,
 		if ferr == nil && terminal(v) {
 			return v, nil
 		}
-		if wait > pol.Delay(attempt) {
-			err = sleepCtx(ctx, wait)
-		} else {
-			err = pol.Sleep(ctx, attempt)
-		}
-		if err != nil {
+		if err := pol.SleepAtLeast(ctx, attempt, wait); err != nil {
 			return v, err
 		}
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

@@ -31,15 +31,15 @@ type Backend interface {
 }
 
 // NodeBackend runs experiment cells on one mtatd over HTTP, riding out
-// daemon restarts: submissions retry through backpressure and outages,
-// and waits use WaitDurable. Combined with mtatd's own run journal
-// (-data-dir), a SIGKILL mid-experiment costs nothing but wall time.
+// daemon restarts: submissions and waits both retry under
+// daemonkit.Retry. Combined with mtatd's own run journal (-data-dir), a
+// SIGKILL mid-experiment costs nothing but wall time.
 type NodeBackend struct {
 	Client *server.Client
 	// Poll caps the status-poll interval (0 selects the client default).
 	Poll time.Duration
 	// MaxOutage bounds consecutive unreachability before giving up
-	// (0 selects server.DefaultMaxOutage).
+	// (0 selects daemonkit.DefaultMaxOutage).
 	MaxOutage time.Duration
 }
 
@@ -47,32 +47,20 @@ type NodeBackend struct {
 // 1.6s, jittered so experiments sharing a daemon do not retry in step.
 var submitRetry = backoff.Policy{Base: 100 * time.Millisecond, Max: 1600 * time.Millisecond}
 
-// Submit enqueues the run, retrying transport errors and backpressure
-// (429/503) for up to MaxOutage.
+// Submit enqueues the run, retrying through outages and backpressure
+// (a full queue, a tenant over quota) under daemonkit.Retry.
 func (b *NodeBackend) Submit(ctx context.Context, spec sim.RunSpec) (server.RunStatus, error) {
-	maxOutage := b.MaxOutage
-	if maxOutage <= 0 {
-		maxOutage = server.DefaultMaxOutage
-	}
-	start := time.Now()
+	retry := daemonkit.Retry{MaxOutage: b.MaxOutage}
 	for attempt := 0; ; attempt++ {
 		st, err := b.Client.Submit(ctx, spec)
 		if err == nil {
 			return st, nil
 		}
-		if ctx.Err() != nil {
-			return server.RunStatus{}, ctx.Err()
-		}
-		var apiErr *daemonkit.APIError
-		if errors.As(err, &apiErr) &&
-			apiErr.StatusCode != http.StatusTooManyRequests &&
-			apiErr.StatusCode != http.StatusServiceUnavailable {
+		wait, err := retry.Check(ctx, err)
+		if err != nil {
 			return server.RunStatus{}, err
 		}
-		if time.Since(start) > maxOutage {
-			return server.RunStatus{}, fmt.Errorf("hypothesis: submit unreachable for %s: %w", maxOutage, err)
-		}
-		if err := submitRetry.Sleep(ctx, attempt); err != nil {
+		if err := submitRetry.SleepAtLeast(ctx, attempt, wait); err != nil {
 			return server.RunStatus{}, err
 		}
 	}
@@ -424,81 +412,31 @@ func (r *Runner) runFleet(ctx context.Context, spec ExperimentSpec, st *expState
 	if err != nil {
 		return fmt.Errorf("hypothesis: sweep %s results: %w", st.sweepID, err)
 	}
+	// SweepSpec varies one axis, baseline first, with seeds innermost,
+	// so a cell's index names its arm.
+	arms := []string{spec.Baseline.Name, spec.Candidate.Name}
 	for _, sum := range sums {
 		if sum.State != string(cluster.CellDone) {
 			r.logf("experiment %s: sweep cell %s finished %s (%s); excluded",
 				spec.Name, sum.Label, sum.State, sum.Error)
 			continue
 		}
-		cfg, ok := spec.configOfSummary(sum)
-		if !ok {
-			return fmt.Errorf("hypothesis: sweep cell %q matches neither arm", sum.Label)
+		arm := sum.Index / len(spec.Seeds)
+		if arm >= len(arms) {
+			return fmt.Errorf("hypothesis: sweep cell %d (%s) is past both arms", sum.Index, sum.Label)
+		}
+		if _, done := st.settled[arms[arm]+"/"+strconv.FormatInt(sum.Seed, 10)]; done {
+			continue
 		}
 		m := Measurement{
-			Config: cfg, Seed: sum.Seed, Node: sum.Node, Trace: sum.Trace,
-			Result: server.RunResult{
-				Policy:          sum.Policy,
-				SLOMet:          sum.SLOMet,
-				LCViolationRate: sum.LCViolationRate,
-				LCMaxP99:        sum.LCMaxP99,
-				LCMeanP99:       sum.LCMeanP99,
-				BEFairness:      sum.BEMinNP,
-				BEThroughput:    sum.BEThroughput,
-				MigratedBytes:   sum.MigratedBytes,
-				Ticks:           sum.Ticks,
-			},
-		}
-		if _, done := st.settled[cfg+"/"+strconv.FormatInt(sum.Seed, 10)]; done {
-			continue
+			Config: arms[arm], Seed: sum.Seed, Node: sum.Node, Trace: sum.Trace,
+			Result: sum.RunResult(),
 		}
 		if err := r.settle(m, st, j); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// configOfSummary maps a sweep cell summary back to the arm that
-// produced it, by the varied axis's value.
-func (s ExperimentSpec) configOfSummary(sum cluster.CellSummary) (string, bool) {
-	for _, arm := range []struct {
-		name string
-		spec sim.RunSpec
-	}{
-		{s.Baseline.Name, s.BaselineSpec()},
-		{s.Candidate.Name, s.CandidateSpec()},
-	} {
-		if sum.Policy != arm.spec.PolicyName() || sum.LC != arm.spec.LC ||
-			sum.SLOScale != arm.spec.SLOScale {
-			continue
-		}
-		if sum.BEs != joinBEs(arm.spec.BEs) {
-			continue
-		}
-		if kind := loadKind(arm.spec.Load); sum.Load != kind {
-			continue
-		}
-		return arm.name, true
-	}
-	return "", false
-}
-
-func joinBEs(bes []string) string {
-	out := ""
-	for i, b := range bes {
-		if i > 0 {
-			out += "+"
-		}
-		out += b
-	}
-	return out
-}
-
-func loadKind(l *sim.LoadSpec) string {
-	if l == nil {
-		return ""
-	}
-	return l.Kind
 }
 
 // isRunGone reports a definitive "this run no longer exists" answer,

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -141,54 +140,15 @@ func (c *Client) runFetcher(id string) func(context.Context) (RunStatus, error) 
 
 func (st RunStatus) terminal() bool { return st.State.Terminal() }
 
-// DefaultMaxOutage is WaitDurable's tolerance for consecutive transport
-// failures when the caller passes maxOutage <= 0 — generous enough to
-// ride out a daemon SIGKILL, journal replay, and restart.
-const DefaultMaxOutage = 2 * time.Minute
-
 // WaitDurable is Wait for callers that must survive a daemon restart:
-// transport errors (connection refused while mtatd is down, resets while
-// it bounces) are retried with the same backoff for up to maxOutage of
-// consecutive failure before giving up, instead of failing the wait on
-// the first one. A 429 is backpressure from a live daemon, not an
-// outage: it never charges the outage window, and a Retry-After header
-// (quota and rate-limit rejections carry one) stretches the sleep to
-// the server's hint. API errors other than 429/503 still fail
-// immediately — a 404 after replay means the run is truly gone, and
-// retrying cannot fix a 400. The experiment harness leans on this:
-// mtatd journals accepted runs before acknowledging them, so a run that
-// was submitted is pollable again as soon as the restarted daemon
-// finishes replay.
+// every failed poll goes through daemonkit.Retry with maxOutage as its
+// outage budget (<= 0 selects daemonkit.DefaultMaxOutage). Outages and
+// backpressure are ridden out; a definitive answer such as a 404 after
+// replay still fails the wait at once. The experiment harness leans on
+// this: mtatd journals accepted runs before acknowledging them, so a
+// run that was submitted is pollable again as soon as the restarted
+// daemon finishes replay.
 func (c *Client) WaitDurable(ctx context.Context, id string, poll, maxOutage time.Duration) (RunStatus, error) {
-	if maxOutage <= 0 {
-		maxOutage = DefaultMaxOutage
-	}
-	var outageStart time.Time
 	return daemonkit.Poll(ctx, poll, c.runFetcher(id), RunStatus.terminal,
-		func(err error) (time.Duration, error) {
-			var apiErr *daemonkit.APIError
-			isAPI := errors.As(err, &apiErr)
-			switch {
-			case err == nil:
-				outageStart = time.Time{}
-				return 0, nil
-			case ctx.Err() != nil:
-				return 0, ctx.Err()
-			case isAPI && apiErr.StatusCode == http.StatusTooManyRequests:
-				// The daemon answered — it is up, just shedding load. Reset
-				// the outage clock (backpressure must not burn the restart
-				// budget) and honor its Retry-After if present.
-				outageStart = time.Time{}
-				return apiErr.RetryAfter, nil
-			case isAPI && apiErr.StatusCode != http.StatusServiceUnavailable:
-				// Definitive: a 404 after replay means the run is gone,
-				// and retrying cannot fix a 400.
-				return 0, err
-			case outageStart.IsZero():
-				outageStart = time.Now()
-			case time.Since(outageStart) > maxOutage:
-				return 0, fmt.Errorf("mtatd: unreachable for %s waiting on %s: %w", maxOutage, id, err)
-			}
-			return 0, nil
-		})
+		&daemonkit.Retry{MaxOutage: maxOutage})
 }
