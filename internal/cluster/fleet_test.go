@@ -182,12 +182,15 @@ func TestFleetSurvivesNodeKillMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill node 1 as soon as it has accepted work and is running it.
+	// Kill node 1 as soon as the fleet holds an accepted run on it that
+	// the node has not finished. A running run alone is not enough: if
+	// the fleet has not yet read the node's 202, the kill turns the
+	// submit into a plain re-placement, not a failover.
 	victim := n1
 	deadline := time.Now().Add(60 * time.Second)
-	for victim.mgr.Stats().ActiveRuns == 0 {
+	for !holdsUnfinishedRun(f, victim) {
 		if time.Now().After(deadline) {
-			t.Fatal("victim node never started a run")
+			t.Fatal("victim node never held an accepted, unfinished run")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -249,6 +252,22 @@ func TestFleetSurvivesNodeKillMidSweep(t *testing.T) {
 		t.Errorf("trace missing failover/markdown events (failover=%v markdown=%v)",
 			sawFailover, sawMarkdown)
 	}
+}
+
+// holdsUnfinishedRun reports whether the fleet's dispatcher has had more
+// runs accepted by n than n has finished. The dispatch count is read
+// before the node's, so a true answer means such a run existed after
+// both reads.
+func holdsUnfinishedRun(f *Fleet, n *testNode) bool {
+	var dispatched int64
+	for _, info := range f.Reg.Nodes() {
+		if info.Addr == n.srv.URL {
+			dispatched = info.Dispatched
+		}
+	}
+	st := n.mgr.Stats()
+	finished := st.TotalRuns - st.QueuedRuns - st.ActiveRuns
+	return int64(finished) < dispatched
 }
 
 // TestFleetSweepFailsWithoutNodes asserts a sweep against an empty node

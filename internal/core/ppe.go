@@ -296,7 +296,7 @@ func (e *PPE) enforce(ctx *policy.Context) {
 
 // refineWorkload keeps the hottest `target` pages of one workload resident.
 func (e *PPE) refineWorkload(sys *mem.System, id mem.WorkloadID, target int) {
-	_, _, unified := e.builder.Build(sys, id)
+	unified := e.builder.Unified(sys, id)
 	e.hot, e.cold = unified.HotSplitInto(e.hot, e.cold, target)
 	e.promote = e.promote[:0]
 	for _, pid := range e.hot {
@@ -377,8 +377,7 @@ func (e *PPE) recordRefine(sys *mem.System, wl, target, promoted, demoted int, h
 
 // appendHottestSMem appends up to n of id's hottest SMem pages to promote.
 func (e *PPE) appendHottestSMem(sys *mem.System, id mem.WorkloadID, n int) {
-	_, smem, _ := e.builder.Build(sys, id)
-	e.promote = smem.Hottest(e.promote, n)
+	e.promote = e.builder.SMem(sys, id).Hottest(e.promote, n)
 }
 
 // appendColdestFMemOf appends up to n of the coldest FMem pages across ids

@@ -1,15 +1,16 @@
 // Package corebench micro-benchmarks the simulator-core hot paths — page
-// migration (mem), histogram rebuild and partition split (hist), PEBS
-// sampling (pebs), the queue-model tick (queue), and recording a flight
-// event into the run trace — at a fixed geometry, independent of the
-// experiment Scale, so numbers stay comparable across -quick and full
-// runs. The resulting report is the repo's perf baseline
+// migration (mem), histogram rebuild and partition split (hist), Zipf
+// draws (dist), PEBS sampling (pebs), the queue-model tick (queue), and
+// recording a flight event into the run trace — at a fixed geometry,
+// independent of the experiment Scale, so numbers stay comparable across
+// -quick and full runs. The resulting report is the repo's perf baseline
 // (BENCH_core.json): CI re-runs the suite on every PR and fails on
 // gross (>2×) ns/op or allocs/op regressions via Compare.
 package corebench
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -80,6 +81,8 @@ func Benches() []Bench {
 		{"mem/age_ref", benchMemAgeRef},
 		{"hist/build", benchHistBuild},
 		{"hist/hotsplit", benchHistHotSplit},
+		{"dist/zipf", benchDistZipf},
+		{"dist/zipf_ref", benchDistZipfRef},
 		{"pebs/record", benchPEBSRecord},
 		{"pebs/record_ref", benchPEBSRecordRef},
 		{"queue/tick", benchQueueTick},
@@ -191,15 +194,16 @@ func benchMemAgeRef(b *testing.B) {
 	}
 }
 
-// benchHistBuild rebuilds the three §3.3.2 histograms over the 2048-page
-// workload — the per-partition-interval classification scan.
+// benchHistBuild rebuilds the unified histogram over the 2048-page
+// workload — the per-partition-interval classification scan that PP-E's
+// refinement (Fig. 4b) runs for each workload.
 func benchHistBuild(b *testing.B) {
 	sys, w := benchSystem()
 	var builder hist.Builder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder.Build(sys, w)
+		builder.Unified(sys, w)
 	}
 }
 
@@ -208,11 +212,45 @@ func benchHistBuild(b *testing.B) {
 func benchHistHotSplit(b *testing.B) {
 	sys, w := benchSystem()
 	var builder hist.Builder
-	_, _, unified := builder.Build(sys, w)
+	unified := builder.Unified(sys, w)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		unified.HotSplit(512)
+	}
+}
+
+// benchZipf is the Zipfian popularity the dist and pebs benchmarks draw
+// from.
+func benchZipf() *dist.Zipf {
+	d, err := dist.NewZipf(1<<20, 0.99)
+	if err != nil {
+		panic(fmt.Sprintf("corebench: %v", err))
+	}
+	return d
+}
+
+// benchDistZipf measures one Zipf draw: the guide-table bucket search.
+func benchDistZipf(b *testing.B) {
+	d := benchZipf()
+	rng := rand.New(rand.NewSource(benchSeed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Sample(rng)
+	}
+}
+
+// benchDistZipfRef is benchDistZipf on the retained reference path (a
+// binary search over the whole CDF), for side-by-side evidence in the
+// report.
+func benchDistZipfRef(b *testing.B) {
+	d := benchZipf()
+	rng := rand.New(rand.NewSource(benchSeed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dist.SampleReference(d, rng)
 	}
 }
 
@@ -224,10 +262,7 @@ func benchPEBSRecord(b *testing.B) {
 	if err != nil {
 		panic(fmt.Sprintf("corebench: %v", err))
 	}
-	d, err := dist.NewZipf(1<<20, 0.99)
-	if err != nil {
-		panic(fmt.Sprintf("corebench: %v", err))
-	}
+	d := benchZipf()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -236,20 +271,17 @@ func benchPEBSRecord(b *testing.B) {
 	}
 }
 
-// benchPEBSRecordRef is benchPEBSRecord on the retained reference dedup
-// path (the seed core's per-tick map rebuild), for side-by-side evidence
-// in the report.
+// benchPEBSRecordRef is benchPEBSRecord on the sampler's retained
+// reference paths (the seed core's per-tick dedup map and full-CDF Zipf
+// search), for side-by-side evidence in the report.
 func benchPEBSRecordRef(b *testing.B) {
 	sys, w := benchSystem()
 	sampler, err := pebs.NewSampler(sys, 0.01, benchSeed)
 	if err != nil {
 		panic(fmt.Sprintf("corebench: %v", err))
 	}
-	sampler.SetReferenceDedup(true)
-	d, err := dist.NewZipf(1<<20, 0.99)
-	if err != nil {
-		panic(fmt.Sprintf("corebench: %v", err))
-	}
+	sampler.SetReference(true)
+	d := benchZipf()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // Distribution models the access popularity over n items ranked by hotness.
@@ -74,15 +75,19 @@ type Zipf struct {
 	theta float64
 	// cdf[i] = probability mass of items [0, i]; len == n.
 	cdf []float64
+	// guide[j] = smallest i with cdf[i] >= j/n, for j = 0..n (Chen &
+	// Asau's guide table): a draw u in [j/n, (j+1)/n) lies in
+	// [guide[j], guide[j+1]], so Sample searches one bucket, not the CDF.
+	guide []int32
 }
 
 var _ Distribution = (*Zipf)(nil)
 
 // NewZipf returns a Zipf distribution over n items with exponent theta.
-// n must be > 0 and theta must be >= 0.
+// n must be in (0, math.MaxInt32] and theta must be >= 0.
 func NewZipf(n int, theta float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("dist: zipf n must be > 0, got %d", n)
+	if n <= 0 || int64(n) > math.MaxInt32 {
+		return nil, fmt.Errorf("dist: zipf n must be in (0, %d], got %d", math.MaxInt32, n)
 	}
 	if theta < 0 || math.IsNaN(theta) {
 		return nil, fmt.Errorf("dist: zipf theta must be >= 0, got %g", theta)
@@ -97,7 +102,23 @@ func NewZipf(n int, theta float64) (*Zipf, error) {
 		z.cdf[i] /= sum
 	}
 	z.cdf[n-1] = 1 // guard against rounding
+	z.guide = newGuide(z.cdf)
 	return z, nil
+}
+
+// newGuide returns the guide table of a non-decreasing cdf whose last
+// entry is 1.
+func newGuide(cdf []float64) []int32 {
+	n := len(cdf)
+	guide := make([]int32, n+1)
+	i := 0
+	for j := range guide {
+		for cdf[i] < float64(j)/float64(n) {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return guide
 }
 
 // N implements Distribution.
@@ -106,19 +127,70 @@ func (z *Zipf) N() int { return z.n }
 // Theta returns the skew exponent.
 func (z *Zipf) Theta() float64 { return z.theta }
 
-// Sample implements Distribution via binary search on the CDF.
-func (z *Zipf) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	lo, hi := 0, z.n-1
+// Sample implements Distribution: the smallest i with cdf[i] >= u, found
+// by a binary search inside u's guide-table bucket.
+func (z *Zipf) Sample(rng *rand.Rand) int { return z.search(rng.Float64()) }
+
+// search returns the smallest i with cdf[i] >= u for u in [0, 1) — the
+// same index searchFull returns. The bucket bounds are checked against
+// the CDF before searching, so the result does not depend on how u*n or
+// the table's j/n round.
+func (z *Zipf) search(u float64) int {
+	j := int(u * float64(z.n))
+	if j >= z.n {
+		j = z.n - 1
+	}
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	for lo > 0 && z.cdf[lo-1] >= u {
+		lo--
+	}
+	for z.cdf[hi] < u {
+		hi++
+	}
+	return lowerBound(z.cdf, u, lo, hi)
+}
+
+// searchFull is the reference search: a binary search over the whole CDF.
+func (z *Zipf) searchFull(u float64) int {
+	referenceSearches.Add(1)
+	return lowerBound(z.cdf, u, 0, z.n-1)
+}
+
+// lowerBound returns the smallest i in [lo, hi] with cdf[i] >= u, given
+// cdf[hi] >= u and, when lo > 0, cdf[lo-1] < u.
+func lowerBound(cdf []float64, u float64, lo, hi int) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
+		if cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// referenceSearches counts searchFull calls process-wide.
+var referenceSearches atomic.Uint64
+
+// ReferenceSearches returns how many Zipf draws this process has made
+// through the reference full-CDF binary search (SampleReference). Tests
+// read it to prove a reference run really reached that search.
+func ReferenceSearches() uint64 { return referenceSearches.Load() }
+
+// SampleReference draws one item from d as d.Sample does — the same RNG
+// consumption, the same index — except that every Zipf draw, including a
+// Zipf component's draw inside a Mixture, binary-searches the whole CDF
+// instead of one guide-table bucket. It is the retained reference path
+// the differential harness checks the guided search against.
+func SampleReference(d Distribution, rng *rand.Rand) int {
+	switch d := d.(type) {
+	case *Zipf:
+		return d.searchFull(rng.Float64())
+	case *Mixture:
+		return SampleReference(d.pick(rng.Float64()), rng)
+	}
+	return d.Sample(rng)
 }
 
 // CDF implements Distribution.
@@ -223,13 +295,17 @@ func (m *Mixture) N() int { return m.n }
 
 // Sample implements Distribution.
 func (m *Mixture) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
+	return m.pick(rng.Float64()).Sample(rng)
+}
+
+// pick returns the component a mixture draw u in [0, 1) selects.
+func (m *Mixture) pick(u float64) Distribution {
 	for i, w := range m.weights {
 		if u <= w {
-			return m.comps[i].Sample(rng)
+			return m.comps[i]
 		}
 	}
-	return m.comps[len(m.comps)-1].Sample(rng)
+	return m.comps[len(m.comps)-1]
 }
 
 // CDF implements Distribution as the weighted sum of component CDFs. This

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -262,4 +263,220 @@ func TestHitRatioMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestNewZipfRejectsNBeyondGuideTable(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("n beyond MaxInt32 is not an int here")
+	}
+	n := int(int64(math.MaxInt32) + 1)
+	if _, err := NewZipf(n, 1); err == nil {
+		t.Errorf("NewZipf(%d, 1) succeeded, want error: guide entries are int32", n)
+	}
+}
+
+// checkGuided asserts the guide-table search returns the reference full
+// search's index for u.
+func checkGuided(t *testing.T, z *Zipf, u float64) {
+	t.Helper()
+	if got, want := z.search(u), lowerBound(z.cdf, u, 0, z.n-1); got != want {
+		t.Fatalf("n=%d theta=%g u=%v: guided %d, full search %d", z.n, z.theta, u, got, want)
+	}
+}
+
+// zipfCases are the (n, theta) shapes every guide-table test covers: a
+// single item, theta 0 (uniform), the profiles' skews, and a theta so
+// large that cdf[0] is within rounding of 1.
+var zipfCases = []struct {
+	n     int
+	theta float64
+}{
+	{1, 0}, {1, 2}, {2, 0}, {3, 0.5}, {7, 0}, {100, 0.2}, {1000, 0.99},
+	{9088, 0.7}, {9216, 1.05}, {4096, 3}, {500, 40}, {1 << 16, 0.55},
+}
+
+// Property: for random n, theta and seed, every draw through the guide
+// table is the draw the full binary search makes with the same RNG.
+func TestZipfGuidedMatchesFullSearchProperty(t *testing.T) {
+	f := func(seed int64, nRaw uint16, thetaRaw float64) bool {
+		n := 1 + int(nRaw)%5000
+		theta := math.Abs(math.Mod(thetaRaw, 4))
+		if math.IsNaN(theta) {
+			theta = 0
+		}
+		z, err := NewZipf(n, theta)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		guided := rand.New(rand.NewSource(seed))
+		full := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			if g, r := z.Sample(guided), SampleReference(z, full); g != r {
+				t.Logf("n=%d theta=%g draw %d: guided %d, reference %d", n, theta, i, g, r)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	for _, c := range zipfCases {
+		z, err := NewZipf(c.n, c.theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(c.n)))
+		for i := 0; i < 5000; i++ {
+			checkGuided(t, z, rng.Float64())
+		}
+	}
+}
+
+// The guide buckets' edges are where rounding of u*n and j/n matters:
+// check u at exactly j/n and one ulp either side, and at the CDF values
+// themselves.
+func TestZipfGuidedAtBucketEdges(t *testing.T) {
+	for _, c := range zipfCases {
+		z, err := NewZipf(c.n, c.theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := 1 + c.n/2000
+		for j := 0; j <= c.n; j += step {
+			edge := float64(j) / float64(c.n)
+			for _, u := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2)} {
+				if u >= 0 && u < 1 {
+					checkGuided(t, z, u)
+				}
+			}
+		}
+		for i := 0; i < c.n; i += step {
+			for _, u := range []float64{math.Nextafter(z.cdf[i], -1), z.cdf[i], math.Nextafter(z.cdf[i], 2)} {
+				if u >= 0 && u < 1 {
+					checkGuided(t, z, u)
+				}
+			}
+		}
+		checkGuided(t, z, math.Nextafter(1, 0))
+	}
+}
+
+// Where u*n and the table's j/n round differently, the guide bucket alone
+// can miss the answer by one, and only the bound checks recover it. The
+// Zipf CDFs above rarely put a CDF value within an ulp of a bucket edge,
+// so this test builds one: cdf[i] = (i+1)/n with one value moved to the
+// ulp below an edge whose u*n rounds up into the edge's bucket. It then
+// shifts every guide entry one down and one up, so both bound checks must
+// repair every bucket.
+func TestZipfGuidedBoundChecks(t *testing.T) {
+	found := false
+	for n := 2; n < 5000 && !found; n++ {
+		for m := 1; m < n; m++ {
+			edge := float64(m) / float64(n)
+			if u := math.Nextafter(edge, 0); int(u*float64(n)) == m {
+				cdf := evenCDF(n)
+				cdf[m-1] = u
+				checkGuided(t, &Zipf{n: n, cdf: cdf, guide: newGuide(cdf)}, u)
+				found = true
+				break
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no edge found whose u*n rounds up")
+	}
+	for _, shift := range []int32{-1, 1} {
+		z, err := NewZipf(2000, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range z.guide {
+			z.guide[j] = min(max(z.guide[j]+shift, 0), int32(z.n-1))
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 20000; i++ {
+			checkGuided(t, z, rng.Float64())
+		}
+	}
+}
+
+// evenCDF returns cdf[i] = (i+1)/n.
+func evenCDF(n int) []float64 {
+	cdf := make([]float64, n)
+	for i := range cdf {
+		cdf[i] = float64(i+1) / float64(n)
+	}
+	return cdf
+}
+
+// A Mixture's reference draw must reach its Zipf component's full search
+// and otherwise consume the RNG exactly as Mixture.Sample does (the Scan
+// component keeps its own position, so each side gets its own mixture).
+func TestMixtureSampleReferenceMatches(t *testing.T) {
+	build := func() *Mixture {
+		z, err := NewZipf(3000, 0.55)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewScan(3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMixture([]Distribution{z, s}, []float64{0.7, 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fast, ref := build(), build()
+	frng, rrng := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	before := ReferenceSearches()
+	const draws = 20000
+	for i := 0; i < draws; i++ {
+		if g, r := fast.Sample(frng), SampleReference(ref, rrng); g != r {
+			t.Fatalf("draw %d: Sample %d, SampleReference %d", i, g, r)
+		}
+	}
+	// About 70% of the draws go to the Zipf component.
+	if n := ReferenceSearches() - before; n < draws/2 {
+		t.Errorf("reference mixture draws made %d full searches, want >= %d", n, draws/2)
+	}
+	if frng.Int63() != rrng.Int63() {
+		t.Error("RNG streams diverged")
+	}
+}
+
+// FuzzZipfGuide checks the guide-table search against the full binary
+// search for arbitrary n, theta and u (u from the bits of a uint64,
+// folded into [0, 1)).
+func FuzzZipfGuide(f *testing.F) {
+	for _, c := range zipfCases {
+		f.Add(uint32(c.n), c.theta, uint64(0))
+		f.Add(uint32(c.n), c.theta, math.Float64bits(0.5))
+		f.Add(uint32(c.n), c.theta, math.Float64bits(math.Nextafter(1, 0)))
+	}
+	f.Fuzz(func(t *testing.T, nRaw uint32, theta float64, bits uint64) {
+		n := 1 + int(nRaw%(1<<16))
+		if theta < 0 || math.IsNaN(theta) {
+			t.Skip()
+		}
+		u := math.Float64frombits(bits)
+		if !(u >= 0 && u < 1) {
+			u = float64(bits>>11) / (1 << 53)
+		}
+		z, err := NewZipf(n, theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGuided(t, z, u)
+		// The bucket edge nearest u, and one ulp either side of it.
+		edge := math.Round(u*float64(n)) / float64(n)
+		for _, v := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2)} {
+			if v >= 0 && v < 1 {
+				checkGuided(t, z, v)
+			}
+		}
+	})
 }

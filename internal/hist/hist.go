@@ -160,39 +160,44 @@ func (h *Histogram) String() string {
 	return s + "}"
 }
 
-// Builder constructs per-workload histograms from the memory system's page
-// hotness counters. It reuses internal storage across rebuilds to avoid
-// per-tick allocation.
+// Builder rebuilds one workload's histogram from the memory system's page
+// hotness counters: either the unified histogram over all of its pages
+// (Fig. 4b) or the histogram of its SMem-resident pages (Fig. 4a). Both
+// builds share one histogram's storage, reused across rebuilds so that
+// steady-state rebuilds allocate nothing.
 type Builder struct {
-	fmem    Histogram
-	smem    Histogram
-	unified Histogram
-	builds  int64
+	h      Histogram
+	builds int64
 }
 
-// Builds returns how many Build passes this builder has run — the
+// Builds returns how many build passes this builder has run — the
 // simulator's histogram-rebuild count for core-stats accounting.
 func (b *Builder) Builds() int64 { return b.builds }
 
-// Build scans workload w's pages in sys and rebuilds the three histograms
-// of §3.3.2: FMem-resident pages, SMem-resident pages, and all pages
-// unified. The returned histograms remain owned by the Builder and are
-// invalidated by the next Build call.
-func (b *Builder) Build(sys *mem.System, w mem.WorkloadID) (fmem, smem, unified *Histogram) {
-	b.fmem.Reset()
-	b.smem.Reset()
-	b.unified.Reset()
+// Unified rebuilds the histogram over all of workload w's pages; within a
+// bin, pages keep w's allocation order. The returned histogram is owned
+// by the Builder and is invalidated by its next build.
+func (b *Builder) Unified(sys *mem.System, w mem.WorkloadID) *Histogram {
+	b.h.Reset()
 	b.builds++
 	for _, pid := range sys.WorkloadPages(w) {
-		bin := BinOf(sys.PageHotness(pid))
-		if sys.PageInFMem(pid) {
-			b.fmem.addBin(bin, pid)
-		} else {
-			b.smem.addBin(bin, pid)
-		}
-		b.unified.addBin(bin, pid)
+		b.h.addBin(BinOf(sys.PageHotness(pid)), pid)
 	}
-	return &b.fmem, &b.smem, &b.unified
+	return &b.h
+}
+
+// SMem rebuilds the histogram over workload w's SMem-resident pages;
+// within a bin, pages keep w's allocation order. The returned histogram
+// is owned by the Builder and is invalidated by its next build.
+func (b *Builder) SMem(sys *mem.System, w mem.WorkloadID) *Histogram {
+	b.h.Reset()
+	b.builds++
+	for _, pid := range sys.WorkloadPages(w) {
+		if !sys.PageInFMem(pid) {
+			b.h.addBin(BinOf(sys.PageHotness(pid)), pid)
+		}
+	}
+	return &b.h
 }
 
 func min(a, b int) int {

@@ -215,13 +215,10 @@ func TestBuilder(t *testing.T) {
 		sys.AddHotness(pid, uint64(i*10))
 	}
 	var b Builder
-	fmem, smem, unified := b.Build(sys, w)
-	if fmem.Len() != 4 {
-		t.Errorf("fmem hist len = %d, want 4", fmem.Len())
-	}
-	if smem.Len() != 2 {
+	if smem := b.SMem(sys, w); smem.Len() != 2 {
 		t.Errorf("smem hist len = %d, want 2", smem.Len())
 	}
+	unified := b.Unified(sys, w)
 	if unified.Len() != 6 {
 		t.Errorf("unified hist len = %d, want 6", unified.Len())
 	}
@@ -233,8 +230,102 @@ func TestBuilder(t *testing.T) {
 	}
 	// Rebuild reuses storage and reflects new counts.
 	sys.AgeHotness()
-	_, _, unified2 := b.Build(sys, w)
+	unified2 := b.Unified(sys, w)
 	if unified2.Len() != 6 {
 		t.Errorf("rebuilt unified len = %d, want 6", unified2.Len())
+	}
+	assertSameBins(t, "rebuilt unified", unified2, naiveBuild(sys, w, false))
+	assertSameBins(t, "rebuilt smem", b.SMem(sys, w), naiveBuild(sys, w, true))
+	if got := b.Builds(); got != 4 {
+		t.Errorf("Builds() = %d, want 4", got)
+	}
+}
+
+// naiveBuild rebuilds w's histogram page by page through the Page struct
+// accessor and Histogram.Add: all pages, or only SMem-resident ones.
+func naiveBuild(sys *mem.System, w mem.WorkloadID, smemOnly bool) *Histogram {
+	var h Histogram
+	for _, pid := range sys.WorkloadPages(w) {
+		p := sys.Page(pid)
+		if smemOnly && p.Tier != mem.TierSMem {
+			continue
+		}
+		h.Add(pid, p.Hotness)
+	}
+	return &h
+}
+
+func assertSameBins(t *testing.T, name string, got, want *Histogram) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Errorf("%s: len = %d, want %d", name, got.Len(), want.Len())
+	}
+	for bin := 0; bin < NumBins; bin++ {
+		g, w := got.bins[bin], want.bins[bin]
+		if len(g) != len(w) {
+			t.Errorf("%s: bin %d holds %d pages, want %d", name, bin, len(g), len(w))
+			continue
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Errorf("%s: bin %d page %d = %d, want %d", name, bin, i, g[i], w[i])
+				break
+			}
+		}
+	}
+}
+
+// TestBuilderMatchesNaiveRebuild checks both builds against a naive
+// per-page rebuild, bin for bin and in page order, across workloads,
+// migrations, aging, and alternating Unified/SMem builds on one Builder.
+func TestBuilderMatchesNaiveRebuild(t *testing.T) {
+	cfg := mem.Config{
+		PageSize:           1 << 20,
+		FMemBytes:          64 << 20,
+		SMemBytes:          256 << 20,
+		FMemLatency:        73 * time.Nanosecond,
+		SMemLatency:        202 * time.Nanosecond,
+		MigrationBandwidth: 1 << 40,
+	}
+	sys, err := mem.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws []mem.WorkloadID
+	for _, spec := range []struct {
+		bytes int64
+		tier  mem.Tier
+	}{{40 << 20, mem.TierFMem}, {100 << 20, mem.TierSMem}, {30 << 20, mem.TierFMem}} {
+		w, err := sys.AddWorkload(spec.bytes, spec.tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var b Builder
+	for round := 0; round < 20; round++ {
+		sys.BeginTick(time.Second)
+		for _, w := range ws {
+			for _, pid := range sys.WorkloadPages(w) {
+				if rng.Intn(3) == 0 {
+					sys.AddHotness(pid, uint64(rng.Intn(1<<uint(rng.Intn(20)))))
+				}
+				if rng.Intn(10) == 0 {
+					to := mem.TierFMem
+					if sys.PageInFMem(pid) {
+						to = mem.TierSMem
+					}
+					_ = sys.Migrate(pid, to) // a full FMem refuses; fine
+				}
+			}
+		}
+		if round%3 == 0 {
+			sys.AgeHotness()
+		}
+		for _, w := range ws {
+			assertSameBins(t, "unified", b.Unified(sys, w), naiveBuild(sys, w, false))
+			assertSameBins(t, "smem", b.SMem(sys, w), naiveBuild(sys, w, true))
+		}
 	}
 }

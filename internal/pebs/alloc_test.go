@@ -71,7 +71,7 @@ func TestTickPathZeroAllocs(t *testing.T) {
 func TestTickPagesMatchesReferenceDedup(t *testing.T) {
 	fast, wf, df := newAllocBenchSampler(t)
 	ref, wr, dr := newAllocBenchSampler(t)
-	ref.SetReferenceDedup(true)
+	ref.SetReference(true)
 
 	rng := rand.New(rand.NewSource(99))
 	for tick := 0; tick < 50; tick++ {

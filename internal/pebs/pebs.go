@@ -34,8 +34,9 @@ type Sampler struct {
 	// instead of clearing a map.
 	seen []uint32
 	gen  uint32
-	// Reference (seed) dedup path for the differential harness.
-	refDedup    bool
+	// Reference (seed) paths for the differential harness: map-backed
+	// dedup and full-CDF distribution draws (SetReference).
+	ref         bool
 	tickPageSet map[mem.PageID]struct{}
 	// Scratch buffer for batched distribution draws.
 	draws []int
@@ -67,11 +68,13 @@ func (s *Sampler) Rate() float64 { return s.rate }
 // TotalSamples returns the cumulative number of sampled accesses.
 func (s *Sampler) TotalSamples() uint64 { return s.totalSamples }
 
-// SetReferenceDedup switches per-tick page dedup to the original
-// map-backed implementation. Output is identical either way; the
-// differential harness uses this as the retained reference path.
-func (s *Sampler) SetReferenceDedup(ref bool) {
-	s.refDedup = ref
+// SetReference switches the sampler to its retained reference paths:
+// per-tick page dedup through the original map, and every draw through
+// dist.SampleReference (the full binary search over a Zipf CDF instead of
+// the guide table). Output is identical either way; the differential
+// harness uses this as the oracle for the fast paths.
+func (s *Sampler) SetReference(ref bool) {
+	s.ref = ref
 	if ref && s.tickPageSet == nil {
 		s.tickPageSet = make(map[mem.PageID]struct{})
 	}
@@ -93,7 +96,7 @@ func (s *Sampler) BeginTick() {
 		s.smemTick[i] = 0
 		s.tickPages[i] = s.tickPages[i][:0]
 	}
-	if s.refDedup {
+	if s.ref {
 		clear(s.tickPageSet)
 		return
 	}
@@ -133,8 +136,14 @@ func (s *Sampler) RecordAccesses(w mem.WorkloadID, d dist.Distribution, n uint64
 		s.draws = make([]int, k)
 	}
 	s.draws = s.draws[:k]
-	for i := range s.draws {
-		s.draws[i] = d.Sample(s.rng)
+	if s.ref {
+		for i := range s.draws {
+			s.draws[i] = dist.SampleReference(d, s.rng)
+		}
+	} else {
+		for i := range s.draws {
+			s.draws[i] = d.Sample(s.rng)
+		}
 	}
 	fmemN, smemN := s.fmemTick[w], s.smemTick[w]
 	for _, item := range s.draws {
@@ -149,7 +158,7 @@ func (s *Sampler) RecordAccesses(w mem.WorkloadID, d dist.Distribution, n uint64
 		} else {
 			smemN++
 		}
-		if s.refDedup {
+		if s.ref {
 			if _, dup := s.tickPageSet[pid]; !dup {
 				s.tickPageSet[pid] = struct{}{}
 				s.tickPages[w] = append(s.tickPages[w], pid)

@@ -141,8 +141,7 @@ func (v *VTMM) repartition(sys *mem.System, ids []mem.WorkloadID) {
 
 // refine keeps the hottest `target` pages of one workload resident.
 func (v *VTMM) refine(sys *mem.System, id mem.WorkloadID, target int) {
-	_, _, unified := v.builder.Build(sys, id)
-	v.hot, v.cold = unified.HotSplitInto(v.hot, v.cold, target)
+	v.hot, v.cold = v.builder.Unified(sys, id).HotSplitInto(v.hot, v.cold, target)
 	v.promote = v.promote[:0]
 	for _, pid := range v.hot {
 		if !sys.PageInFMem(pid) {

@@ -207,7 +207,7 @@ func NewRunner(scn Scenario, pol policy.Policy) (*Runner, error) {
 	r.sampler = sampler
 	if scn.ReferenceCore {
 		sys.SetEagerAging(true)
-		sampler.SetReferenceDedup(true)
+		sampler.SetReference(true)
 		if r.lc != nil {
 			r.lc.Queue().SetReferenceQuantiles(true)
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tieredmem/mtat/internal/dist"
 	"github.com/tieredmem/mtat/internal/hypothesis"
 	"github.com/tieredmem/mtat/internal/sim"
 )
@@ -165,5 +166,33 @@ func TestReferenceCoreUsesSeedPaths(t *testing.T) {
 	if ref.Result.Core.Mallocs < fast.Result.Core.Mallocs {
 		t.Errorf("reference run allocated less than fast run (%d < %d); is ReferenceCore plumbed?",
 			ref.Result.Core.Mallocs, fast.Result.Core.Mallocs)
+	}
+}
+
+// TestReferenceCoreReachesFullZipfSearch checks that ReferenceCore draws
+// every PEBS sample through the full binary search over the Zipf CDF, the
+// oracle for the guide-table search, and that the fast core never does.
+// The only Zipf in this scenario is a Mixture component (bfs), so the
+// check also covers the Mixture route. It must not run in parallel: the
+// search counter is process-wide.
+func TestReferenceCoreReachesFullZipfSearch(t *testing.T) {
+	spec := sim.RunSpec{
+		LC: "redis", BEs: []string{"bfs"}, Policy: "memtis",
+		Load:  &sim.LoadSpec{Kind: "constant", Frac: 0.5, DurationSeconds: 5},
+		Scale: 32, Seed: 1,
+	}
+	before := dist.ReferenceSearches()
+	if _, err := RunSpec(context.Background(), spec, true); err != nil {
+		t.Fatal(err)
+	}
+	mid := dist.ReferenceSearches()
+	if mid == before {
+		t.Error("reference run made no full Zipf searches; is ReferenceCore plumbed to the sampler's draws?")
+	}
+	if _, err := RunSpec(context.Background(), spec, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := dist.ReferenceSearches() - mid; n != 0 {
+		t.Errorf("fast run made %d full Zipf searches, want 0", n)
 	}
 }
