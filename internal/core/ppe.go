@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/tieredmem/mtat/internal/cgroupfs"
-	"github.com/tieredmem/mtat/internal/hist"
 	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/policy"
 	"github.com/tieredmem/mtat/internal/telemetry"
@@ -34,12 +33,8 @@ type PPE struct {
 
 	policyGen uint64 // last observed policy file generation
 
-	h       hist.Histogram
-	builder hist.Builder
 	promote []mem.PageID
 	demote  []mem.PageID
-	hot     []mem.PageID // HotSplitInto scratch
-	cold    []mem.PageID
 	bePool  []mem.WorkloadID
 
 	// tel holds the observability handles (zero value = no-op); now is
@@ -296,55 +291,28 @@ func (e *PPE) enforce(ctx *policy.Context) {
 
 // refineWorkload keeps the hottest `target` pages of one workload resident.
 func (e *PPE) refineWorkload(sys *mem.System, id mem.WorkloadID, target int) {
-	unified := e.builder.Unified(sys, id)
-	e.hot, e.cold = unified.HotSplitInto(e.hot, e.cold, target)
-	e.promote = e.promote[:0]
-	for _, pid := range e.hot {
-		if !sys.PageInFMem(pid) {
-			e.promote = append(e.promote, pid)
-		}
-	}
-	e.demote = e.demote[:0]
-	for i := len(e.cold) - 1; i >= 0; i-- {
-		if sys.PageInFMem(e.cold[i]) {
-			e.demote = append(e.demote, e.cold[i])
-		}
-	}
-	promoted, demoted := sys.Exchange(e.promote, e.demote)
-	e.recordRefine(sys, int(id), target, promoted, demoted, unified)
+	e.refine(sys, []mem.WorkloadID{id}, int(id), target)
 }
 
 // refinePool keeps the globally hottest `capacity` pages of a workload set
 // resident (the shared-BE variant).
 func (e *PPE) refinePool(sys *mem.System, ids []mem.WorkloadID, capacity int) {
-	e.h.Reset()
-	for _, id := range ids {
-		for _, pid := range sys.WorkloadPages(id) {
-			e.h.Add(pid, sys.PageHotness(pid))
-		}
-	}
-	e.hot, e.cold = e.h.HotSplitInto(e.hot, e.cold, capacity)
-	e.promote = e.promote[:0]
-	for _, pid := range e.hot {
-		if !sys.PageInFMem(pid) {
-			e.promote = append(e.promote, pid)
-		}
-	}
-	e.demote = e.demote[:0]
-	for i := len(e.cold) - 1; i >= 0; i-- {
-		if sys.PageInFMem(e.cold[i]) {
-			e.demote = append(e.demote, e.cold[i])
-		}
-	}
+	e.refine(sys, ids, telemetry.WLNone, capacity)
+}
+
+// refine keeps the hottest `capacity` pages of ids resident and records
+// the pass under trace workload wl.
+func (e *PPE) refine(sys *mem.System, ids []mem.WorkloadID, wl, capacity int) {
+	e.promote, e.demote = sys.HotSplit(ids, capacity, e.promote[:0], e.demote[:0])
 	promoted, demoted := sys.Exchange(e.promote, e.demote)
-	e.recordRefine(sys, telemetry.WLNone, capacity, promoted, demoted, &e.h)
+	e.recordRefine(sys, ids, wl, capacity, promoted, demoted)
 }
 
 // recordRefine folds one refinement pass into the telemetry sink: page
 // movement counters, a ppe.refine event, and a ppe.hist occupancy summary
-// of the histogram that drove the split. Quiet passes (no movement) emit
-// nothing.
-func (e *PPE) recordRefine(sys *mem.System, wl, target, promoted, demoted int, h *hist.Histogram) {
+// of the hotness bins that drove the split. Quiet passes (no movement)
+// emit nothing.
+func (e *PPE) recordRefine(sys *mem.System, ids []mem.WorkloadID, wl, target, promoted, demoted int) {
 	if promoted == 0 && demoted == 0 {
 		return
 	}
@@ -361,37 +329,31 @@ func (e *PPE) recordRefine(sys *mem.System, wl, target, promoted, demoted int, h
 		telemetry.I("promoted", promoted),
 		telemetry.I("demoted", demoted),
 		telemetry.F("bytes", float64(sys.PagesToBytes(promoted+demoted))))
-	occupied, topBin := 0, 0
-	for b := 0; b < hist.NumBins; b++ {
-		if h.BinLen(b) > 0 {
+	counts := sys.BinCounts(ids)
+	pages, occupied, topBin := 0, 0, 0
+	for b, n := range counts {
+		pages += n
+		if n > 0 {
 			occupied++
 			topBin = b
 		}
 	}
 	tr.Emit(e.now, telemetry.EvPPEHist, wl,
-		telemetry.I("pages", h.Len()),
+		telemetry.I("pages", pages),
 		telemetry.I("occupied_bins", occupied),
 		telemetry.I("top_bin", topBin),
-		telemetry.I("top_len", h.BinLen(topBin)))
+		telemetry.I("top_len", counts[topBin]))
 }
 
 // appendHottestSMem appends up to n of id's hottest SMem pages to promote.
 func (e *PPE) appendHottestSMem(sys *mem.System, id mem.WorkloadID, n int) {
-	e.promote = e.builder.SMem(sys, id).Hottest(e.promote, n)
+	e.promote = sys.AppendHottestSMem(e.promote, []mem.WorkloadID{id}, n)
 }
 
 // appendColdestFMemOf appends up to n of the coldest FMem pages across ids
 // to demote.
 func (e *PPE) appendColdestFMemOf(sys *mem.System, ids []mem.WorkloadID, n int) {
-	e.h.Reset()
-	for _, id := range ids {
-		for _, pid := range sys.WorkloadPages(id) {
-			if sys.PageInFMem(pid) {
-				e.h.Add(pid, sys.PageHotness(pid))
-			}
-		}
-	}
-	e.demote = e.h.Coldest(e.demote, n)
+	e.demote = sys.AppendColdestFMem(e.demote, ids, n, nil)
 }
 
 // beDelta pairs a BE workload with its outstanding allocation delta.

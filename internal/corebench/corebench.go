@@ -1,5 +1,5 @@
 // Package corebench micro-benchmarks the simulator-core hot paths — page
-// migration (mem), histogram rebuild and partition split (hist), Zipf
+// migration, hotness aging and the hotness-ranked partition split (mem), Zipf
 // draws (dist), PEBS sampling (pebs), the queue-model tick (queue), and
 // recording a flight event into the run trace — at a fixed geometry,
 // independent of the experiment Scale, so numbers stay comparable across
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/tieredmem/mtat/internal/dist"
-	"github.com/tieredmem/mtat/internal/hist"
 	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/pebs"
 	"github.com/tieredmem/mtat/internal/queue"
@@ -79,8 +78,8 @@ func Benches() []Bench {
 		{"mem/exchange", benchMemExchange},
 		{"mem/age", benchMemAge},
 		{"mem/age_ref", benchMemAgeRef},
-		{"hist/build", benchHistBuild},
-		{"hist/hotsplit", benchHistHotSplit},
+		{"mem/split", benchMemSplit},
+		{"mem/split_ref", benchMemSplitRef},
 		{"dist/zipf", benchDistZipf},
 		{"dist/zipf_ref", benchDistZipfRef},
 		{"pebs/record", benchPEBSRecord},
@@ -170,8 +169,8 @@ func benchMemExchange(b *testing.B) {
 }
 
 // benchMemAge measures one AgeHotness pass over the 2048-page workload on
-// the default lazy-epoch path: an O(1) epoch bump, with the halving folded
-// into later reads.
+// the default lazy-epoch path: an O(1) epoch bump, plus the hotness
+// index's one-bin shift in O(bitset words).
 func benchMemAge(b *testing.B) {
 	sys, _ := benchSystem()
 	b.ReportAllocs()
@@ -186,7 +185,7 @@ func benchMemAge(b *testing.B) {
 // mem/age_ref gap is the headline win of the lazy-aging rewrite.
 func benchMemAgeRef(b *testing.B) {
 	sys, _ := benchSystem()
-	sys.SetEagerAging(true)
+	sys.SetReference(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -194,29 +193,30 @@ func benchMemAgeRef(b *testing.B) {
 	}
 }
 
-// benchHistBuild rebuilds the unified histogram over the 2048-page
-// workload — the per-partition-interval classification scan that PP-E's
-// refinement (Fig. 4b) runs for each workload.
-func benchHistBuild(b *testing.B) {
-	sys, w := benchSystem()
-	var builder hist.Builder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		builder.Unified(sys, w)
-	}
+// benchMemSplit measures the MEMTIS-shaped hot/cold split (Fig. 4b): rank
+// the 2048-page workload by hotness, keep the hottest FMem-capacity pages,
+// and list the promotions and demotions that takes — read from the
+// hotness index.
+func benchMemSplit(b *testing.B) {
+	benchSplit(b, false)
 }
 
-// benchHistHotSplit measures the Fig. 4b hot/cold partition split on a
-// freshly built unified histogram.
-func benchHistHotSplit(b *testing.B) {
+// benchMemSplitRef is benchMemSplit on the retained reference path, a
+// histogram rebuild over every page per split, for side-by-side evidence
+// in the report.
+func benchMemSplitRef(b *testing.B) {
+	benchSplit(b, true)
+}
+
+func benchSplit(b *testing.B, reference bool) {
 	sys, w := benchSystem()
-	var builder hist.Builder
-	unified := builder.Unified(sys, w)
+	sys.SetReference(reference)
+	ids := []mem.WorkloadID{w}
+	var promote, demote []mem.PageID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unified.HotSplit(512)
+		promote, demote = sys.HotSplit(ids, sys.FMemCapacityPages(), promote[:0], demote[:0])
 	}
 }
 

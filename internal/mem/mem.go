@@ -112,8 +112,9 @@ func (c Config) Validate() error {
 
 // workloadAccount tracks per-workload placement counts.
 type workloadAccount struct {
-	total int // pages allocated
-	fmem  int // pages currently in FMem
+	total int    // pages allocated
+	fmem  int    // pages currently in FMem
+	moves uint64 // migrations of this workload's pages, ever
 }
 
 // System is the tiered memory state. It is not safe for concurrent use;
@@ -123,8 +124,10 @@ type workloadAccount struct {
 // a hotness array with per-page aging epochs, and a one-bit-per-page FMem
 // occupancy bitset. Pages are never freed (workloads stay attached for a
 // run's lifetime), so the dense arrays double as the allocator: PageIDs
-// are indices assigned in allocation order. Hotness aging is lazy — see
-// AgeHotness.
+// are indices assigned in allocation order, and each workload's pages
+// form one contiguous PageID range. Hotness aging is lazy — see
+// AgeHotness. The hotness index (hotness.go) keeps every page filed in
+// its exponential histogram bin as counts change.
 type System struct {
 	cfg      Config
 	fmemCap  int // capacity in pages
@@ -139,11 +142,17 @@ type System struct {
 	// epoch is the global aging epoch; a page's effective hotness is
 	// hot[i] >> (epoch - hotEpoch[i]).
 	epoch uint32
-	// eagerAging selects the reference aging mode: a full O(pages) sweep
-	// per AgeHotness, as the seed implementation did. The differential
-	// harness (internal/simtest) runs scenarios in both modes and
-	// asserts identical results.
-	eagerAging bool
+	// bins and binPages are the hotness index: bins[b] has bit pid set
+	// iff BinOf(PageHotness(pid)) == b, and binPages[w][b] counts w's
+	// pages in bin b.
+	bins     [NumBins][]uint64
+	binPages [][NumBins]int
+	// reference selects the retained reference paths (SetReference): a
+	// full O(pages) sweep per AgeHotness and a per-call histogram rebuild
+	// for every ranked query. The differential harness (internal/simtest)
+	// runs scenarios in both modes and asserts identical results.
+	reference  bool
+	refBins    [NumBins][]PageID // reference-path bins, reused across rebuilds
 	accounts   []workloadAccount
 	byOwner    [][]PageID // page IDs per workload, allocation order
 	tickLeft   int64      // migration bytes remaining this tick
@@ -169,15 +178,18 @@ func NewSystem(cfg Config) (*System, error) {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// SetEagerAging switches the system to the reference aging mode: each
+// SetReference switches the system to its retained reference paths: each
 // AgeHotness call halves every counter in a full sweep instead of bumping
-// the lazy-aging epoch. Both modes produce identical hotness values; the
-// eager path is retained as the differential-testing reference and as the
-// baseline the corebench suite measures speedups against. Call it before
-// the first AgeHotness; switching is safe at any point (the sweep folds
-// outstanding epochs first), but mid-run switches make perf numbers
-// meaningless.
-func (s *System) SetEagerAging(eager bool) { s.eagerAging = eager }
+// the lazy-aging epoch, and every ranked query (HotSplit,
+// AppendHottestSMem, AppendColdestFMem, BinCounts) rebuilds a histogram
+// over the pages it ranks instead of reading the hotness index. Both modes
+// produce identical hotness values and identical page selections; the
+// reference paths are the differential-testing oracle and the baseline
+// the corebench suite measures speedups against. Call it before the first
+// AgeHotness; switching is safe at any point (the sweep folds outstanding
+// epochs first, and the index is kept in both modes), but mid-run
+// switches make perf numbers meaningless.
+func (s *System) SetReference(ref bool) { s.reference = ref }
 
 // FMemCapacityPages returns the FMem capacity in pages.
 func (s *System) FMemCapacityPages() int { return s.fmemCap }
@@ -220,8 +232,13 @@ func (s *System) AddWorkload(rssBytes int64, preferred Tier) (WorkloadID, error)
 			n, s.FMemFreePages()+s.SMemFreePages())
 	}
 	id := WorkloadID(len(s.accounts))
-	s.accounts = append(s.accounts, workloadAccount{})
-	s.byOwner = append(s.byOwner, make([]PageID, 0, n))
+	s.accounts = append(s.accounts, workloadAccount{total: n})
+	lo := len(s.owners)
+	s.byOwner = append(s.byOwner, make([]PageID, n))
+	s.hot = append(s.hot, make([]uint64, n)...)
+	words := (lo + n + 63) >> 6
+	s.fmemBits = append(s.fmemBits, make([]uint64, words-len(s.fmemBits))...)
+	s.addToIndex(id, lo, n, words)
 	for i := 0; i < n; i++ {
 		tier := TierSMem
 		if preferred == TierFMem && s.fmemUsed < s.fmemCap {
@@ -230,14 +247,10 @@ func (s *System) AddWorkload(rssBytes int64, preferred Tier) (WorkloadID, error)
 		if tier == TierSMem && s.smemUsed >= s.smemCap {
 			tier = TierFMem // SMem exhausted; spill to FMem
 		}
-		pid := PageID(len(s.owners))
+		pid := PageID(lo + i)
 		s.owners = append(s.owners, id)
-		s.hot = append(s.hot, 0)
 		s.hotEpoch = append(s.hotEpoch, s.epoch)
-		if w := int(uint(pid) >> 6); w >= len(s.fmemBits) {
-			s.fmemBits = append(s.fmemBits, 0)
-		}
-		s.byOwner[id] = append(s.byOwner[id], pid)
+		s.byOwner[id][i] = pid
 		if tier == TierFMem {
 			s.setFMemBit(pid)
 			s.fmemUsed++
@@ -245,7 +258,6 @@ func (s *System) AddWorkload(rssBytes int64, preferred Tier) (WorkloadID, error)
 		} else {
 			s.smemUsed++
 		}
-		s.accounts[id].total++
 	}
 	return id, nil
 }
@@ -307,6 +319,11 @@ func (s *System) TotalPages(w WorkloadID) int { return s.accounts[w].total }
 // FMemPages returns the number of w's pages currently in FMem.
 func (s *System) FMemPages(w WorkloadID) int { return s.accounts[w].fmem }
 
+// PlacementVersion returns a counter that changes whenever one of w's
+// pages changes tier. Callers that derive a value from w's placement cache
+// it against this version.
+func (s *System) PlacementVersion(w WorkloadID) uint64 { return s.accounts[w].moves }
+
 // FMemUsageRatio returns the fraction of w's pages resident in FMem — the
 // "FMem Usage Ratio" state input of the RL model (§3.2.1).
 func (s *System) FMemUsageRatio(w WorkloadID) float64 {
@@ -318,35 +335,60 @@ func (s *System) FMemUsageRatio(w WorkloadID) float64 {
 }
 
 // AddHotness adds delta to a page's access counter, first folding any
-// aging epochs the page has not yet absorbed.
+// aging epochs the page has not yet absorbed, and refiles the page in the
+// hotness index when its bin changes.
 func (s *System) AddHotness(pid PageID, delta uint64) {
-	if d := s.epoch - s.hotEpoch[pid]; d != 0 {
-		if d >= 64 {
-			s.hot[pid] = 0
-		} else {
-			s.hot[pid] >>= d
-		}
-		s.hotEpoch[pid] = s.epoch
+	old := s.hot[pid]
+	if s.hotEpoch[pid] != s.epoch {
+		old = s.fold(pid)
 	}
-	s.hot[pid] += delta
+	v := old + delta
+	s.hot[pid] = v
+	if old^v > old&v { // the top set bit moved: the bin may have changed
+		s.rebin(pid, BinOf(old), BinOf(v))
+	}
+}
+
+// AddSamples adds one sampled access to each page of pids, as
+// AddHotness(pid, 1) would for each in turn. The common case — an
+// up-to-date counter that does not reach a power of two, so its bin stays
+// put — is handled inside the loop, without a call.
+func (s *System) AddSamples(pids []PageID) {
+	for _, pid := range pids {
+		if v := s.hot[pid]; s.hotEpoch[pid] == s.epoch && v&(v+1) != 0 {
+			s.hot[pid] = v + 1
+			continue
+		}
+		s.AddHotness(pid, 1)
+	}
+}
+
+// fold applies pid's outstanding aging epochs to its stored counter and
+// returns the result.
+func (s *System) fold(pid PageID) uint64 {
+	v := s.hot[pid]
+	if d := s.epoch - s.hotEpoch[pid]; d >= 64 {
+		v = 0
+	} else {
+		v >>= d
+	}
+	s.hot[pid] = v
+	s.hotEpoch[pid] = s.epoch
+	return v
 }
 
 // AgeHotness halves every page's access counter — the per-interval aging
 // step of §3.3.2. The default implementation is lazy: it bumps a global
 // epoch in O(1) and pages fold the outstanding halvings on their next
 // touch or read (right shifts compose, so folding later is exact). The
-// reference mode (SetEagerAging) performs the seed implementation's full
-// O(pages) sweep instead; both yield identical hotness values.
+// reference mode (SetReference) performs the seed implementation's full
+// O(pages) sweep instead; both yield identical hotness values. Either way
+// the hotness index then moves every page down one bin in O(bitset words).
 func (s *System) AgeHotness() {
-	if s.eagerAging {
+	if s.reference {
 		for i := range s.hot {
-			if d := s.epoch - s.hotEpoch[i]; d != 0 {
-				if d >= 64 {
-					s.hot[i] = 0
-				} else {
-					s.hot[i] >>= d
-				}
-				s.hotEpoch[i] = s.epoch
+			if s.hotEpoch[i] != s.epoch {
+				s.fold(PageID(i))
 			}
 			s.hot[i] >>= 1
 		}
@@ -354,6 +396,7 @@ func (s *System) AgeHotness() {
 		s.epoch++
 	}
 	s.agings++
+	s.ageIndex()
 }
 
 // HotnessAgings returns how many AgeHotness passes (histogram decay
@@ -421,6 +464,7 @@ func (s *System) Migrate(pid PageID, to Tier) error {
 		s.demotions++
 		s.clearFMemBit(pid)
 	}
+	s.accounts[owner].moves++
 	s.tickLeft -= s.cfg.PageSize
 	s.migrated += s.cfg.PageSize
 	s.migrations++

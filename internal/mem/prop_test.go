@@ -160,7 +160,7 @@ func TestLazyAgingMatchesEagerAging(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetEagerAging(eager)
+		sys.SetReference(eager)
 		if _, err := sys.AddWorkload(64*cfg.PageSize, TierFMem); err != nil {
 			t.Fatal(err)
 		}

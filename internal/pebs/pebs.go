@@ -38,8 +38,10 @@ type Sampler struct {
 	// dedup and full-CDF distribution draws (SetReference).
 	ref         bool
 	tickPageSet map[mem.PageID]struct{}
-	// Scratch buffer for batched distribution draws.
+	// Scratch buffers for batched distribution draws and the pages they
+	// land on.
 	draws []int
+	pids  []mem.PageID
 	// Cumulative sampled counts (never reset; used by overhead accounting).
 	totalSamples uint64
 }
@@ -145,14 +147,17 @@ func (s *Sampler) RecordAccesses(w mem.WorkloadID, d dist.Distribution, n uint64
 			s.draws[i] = d.Sample(s.rng)
 		}
 	}
-	fmemN, smemN := s.fmemTick[w], s.smemTick[w]
+	s.pids = s.pids[:0]
 	for _, item := range s.draws {
 		pageIdx := int(float64(item) / itemsPerPage)
 		if pageIdx >= len(pages) {
 			pageIdx = len(pages) - 1
 		}
-		pid := pages[pageIdx]
-		s.sys.AddHotness(pid, 1)
+		s.pids = append(s.pids, pages[pageIdx])
+	}
+	s.sys.AddSamples(s.pids)
+	fmemN, smemN := s.fmemTick[w], s.smemTick[w]
+	for _, pid := range s.pids {
 		if s.sys.PageInFMem(pid) {
 			fmemN++
 		} else {
@@ -180,6 +185,16 @@ func (s *Sampler) TickPages(w mem.WorkloadID) []mem.PageID {
 		return nil
 	}
 	return s.tickPages[w]
+}
+
+// SampledThisTick reports whether pid has been sampled since the last
+// BeginTick — whether it appears in some workload's TickPages.
+func (s *Sampler) SampledThisTick(pid mem.PageID) bool {
+	if s.ref {
+		_, ok := s.tickPageSet[pid]
+		return ok
+	}
+	return int(pid) < len(s.seen) && s.seen[pid] == s.gen
 }
 
 // TickFMemAccesses returns the sampled FMem access count for w this tick.

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"github.com/tieredmem/mtat/internal/hist"
 	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/telemetry"
 )
@@ -12,11 +11,8 @@ import (
 // migration bandwidth. This is the shared mechanism behind MEMTIS's global
 // placement and the BE-side management of the static baselines.
 type pool struct {
-	h       hist.Histogram
 	promote []mem.PageID
 	demote  []mem.PageID
-	hot     []mem.PageID // HotSplitInto scratch
-	cold    []mem.PageID
 
 	// Migration traffic counters shared by every pool-based baseline
 	// (nil-safe no-ops until attach).
@@ -42,29 +38,11 @@ func (p *pool) record(promoted, demoted int) (int, int) {
 }
 
 // manage drives the pool toward "hottest capacity pages resident" for the
-// given workloads and returns (promoted, demoted) page counts.
+// given workloads and returns (promoted, demoted) page counts. Demotions
+// leave coldest first, so the cheapest pages leave FMem ahead of warmer
+// ones when bandwidth runs out.
 func (p *pool) manage(sys *mem.System, ids []mem.WorkloadID, capacity int) (int, int) {
-	p.h.Reset()
-	for _, id := range ids {
-		for _, pid := range sys.WorkloadPages(id) {
-			p.h.Add(pid, sys.PageHotness(pid))
-		}
-	}
-	p.hot, p.cold = p.h.HotSplitInto(p.hot, p.cold, capacity)
-	p.promote = p.promote[:0]
-	for _, pid := range p.hot {
-		if !sys.PageInFMem(pid) {
-			p.promote = append(p.promote, pid)
-		}
-	}
-	// cold is ordered hottest-first; demote coldest first so the cheapest
-	// pages leave FMem ahead of warmer ones when bandwidth runs out.
-	p.demote = p.demote[:0]
-	for i := len(p.cold) - 1; i >= 0; i-- {
-		if sys.PageInFMem(p.cold[i]) {
-			p.demote = append(p.demote, p.cold[i])
-		}
-	}
+	p.promote, p.demote = sys.HotSplit(ids, capacity, p.promote[:0], p.demote[:0])
 	return p.record(sys.Exchange(p.promote, p.demote))
 }
 
@@ -75,36 +53,17 @@ func (p *pool) manage(sys *mem.System, ids []mem.WorkloadID, capacity int) (int,
 // demoted).
 func (p *pool) pin(sys *mem.System, id mem.WorkloadID, target int, victims ...mem.WorkloadID) (int, int) {
 	cur := sys.FMemPages(id)
+	ids := []mem.WorkloadID{id}
 	switch {
 	case cur < target:
-		p.h.Reset()
-		for _, pid := range sys.WorkloadPages(id) {
-			if !sys.PageInFMem(pid) {
-				p.h.Add(pid, sys.PageHotness(pid))
-			}
-		}
-		p.promote = p.h.Hottest(p.promote[:0], target-cur)
+		p.promote = sys.AppendHottestSMem(p.promote[:0], ids, target-cur)
 		p.demote = p.demote[:0]
 		if need := len(p.promote) - sys.FMemFreePages(); need > 0 && len(victims) > 0 {
-			p.h.Reset()
-			for _, vid := range victims {
-				for _, pid := range sys.WorkloadPages(vid) {
-					if sys.PageInFMem(pid) {
-						p.h.Add(pid, sys.PageHotness(pid))
-					}
-				}
-			}
-			p.demote = p.h.Coldest(p.demote, need)
+			p.demote = sys.AppendColdestFMem(p.demote, victims, need, nil)
 		}
 		return p.record(sys.Exchange(p.promote, p.demote))
 	case cur > target:
-		p.h.Reset()
-		for _, pid := range sys.WorkloadPages(id) {
-			if sys.PageInFMem(pid) {
-				p.h.Add(pid, sys.PageHotness(pid))
-			}
-		}
-		p.demote = p.h.Coldest(p.demote[:0], cur-target)
+		p.demote = sys.AppendColdestFMem(p.demote[:0], ids, cur-target, nil)
 		return p.record(sys.Exchange(nil, p.demote))
 	default:
 		return 0, 0

@@ -23,8 +23,19 @@ type RegionMEMTIS struct {
 
 	monitors map[mem.WorkloadID]*damon.Monitor
 	lastAgg  float64
-	promote  []mem.PageID
-	demote   []mem.PageID
+	// ranked holds every region, hottest per-page rate first. A region's
+	// rate and bounds change only when its monitor aggregates, so the
+	// ranking is rebuilt after Init and after each aggregation only.
+	ranked  []rankedRegion
+	promote []mem.PageID
+	demote  []mem.PageID
+}
+
+// rankedRegion is one region's page range and smoothed per-page rate.
+type rankedRegion struct {
+	rate  float64
+	start mem.PageID
+	end   mem.PageID
 }
 
 var _ Policy = (*RegionMEMTIS)(nil)
@@ -59,7 +70,23 @@ func (p *RegionMEMTIS) Init(ctx *Context) error {
 		p.monitors[id] = m
 	}
 	p.lastAgg = 0
+	p.rank(workloadIDs(ctx))
 	return nil
+}
+
+// rank rebuilds the global region ranking from the monitors of ids.
+func (p *RegionMEMTIS) rank(ids []mem.WorkloadID) {
+	p.ranked = p.ranked[:0]
+	for _, id := range ids {
+		for _, r := range p.monitors[id].Regions() {
+			rate := 0.0
+			if r.Len() > 0 {
+				rate = r.Smoothed / float64(r.Len())
+			}
+			p.ranked = append(p.ranked, rankedRegion{rate, r.Start, r.End})
+		}
+	}
+	sort.Slice(p.ranked, func(i, j int) bool { return p.ranked[i].rate > p.ranked[j].rate })
 }
 
 // Tick implements Policy.
@@ -81,32 +108,16 @@ func (p *RegionMEMTIS) Tick(ctx *Context) error {
 			mon.Aggregate()
 		}
 		p.lastAgg = ctx.Now
+		p.rank(ids)
 	}
 
-	// Global placement: rank all regions by per-page smoothed rate, mark
-	// the top pages (up to FMem capacity) as the hot set.
-	type scored struct {
-		rate  float64
-		start mem.PageID
-		end   mem.PageID
-	}
-	var regions []scored
-	for _, id := range ids {
-		for _, r := range p.monitors[id].Regions() {
-			rate := 0.0
-			if r.Len() > 0 {
-				rate = r.Smoothed / float64(r.Len())
-			}
-			regions = append(regions, scored{rate, r.Start, r.End})
-		}
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i].rate > regions[j].rate })
-
+	// Global placement: walk the regions by per-page smoothed rate and
+	// mark the top pages (up to FMem capacity) as the hot set.
 	capacity := sys.FMemCapacityPages()
 	p.promote = p.promote[:0]
 	p.demote = p.demote[:0]
 	filled := 0
-	for _, r := range regions {
+	for _, r := range p.ranked {
 		for pid := r.start; pid < r.end; pid++ {
 			if filled < capacity {
 				if !sys.PageInFMem(pid) {

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"github.com/tieredmem/mtat/internal/hist"
 	"github.com/tieredmem/mtat/internal/mem"
 )
 
@@ -26,10 +25,8 @@ type TPP struct {
 
 	lastAge float64
 	stall   float64
-	h       hist.Histogram
 	promote []mem.PageID
 	demote  []mem.PageID
-	active  map[mem.PageID]struct{}
 }
 
 var _ Policy = (*TPP)(nil)
@@ -46,7 +43,6 @@ func NewTPP() *TPP {
 		FaultCost:         9e-6,
 		Headroom:          0.02,
 		AgingInterval:     2,
-		active:            make(map[mem.PageID]struct{}),
 	}
 }
 
@@ -65,10 +61,8 @@ func (t *TPP) Tick(ctx *Context) error {
 	// promotion candidate, newest-touched first. Sampled pages — in
 	// either tier — form the active list and are exempt from demotion.
 	t.promote = t.promote[:0]
-	clear(t.active)
 	for _, id := range ids {
 		for _, pid := range ctx.Sampler.TickPages(id) {
-			t.active[pid] = struct{}{}
 			if !sys.PageInFMem(pid) {
 				t.promote = append(t.promote, pid)
 			}
@@ -86,19 +80,7 @@ func (t *TPP) Tick(ctx *Context) error {
 	deficit := want - sys.FMemFreePages()
 	t.demote = t.demote[:0]
 	if deficit > 0 {
-		t.h.Reset()
-		for _, id := range ids {
-			for _, pid := range sys.WorkloadPages(id) {
-				if !sys.PageInFMem(pid) {
-					continue
-				}
-				if _, isActive := t.active[pid]; isActive {
-					continue // recently touched: on the active list
-				}
-				t.h.Add(pid, sys.PageHotness(pid))
-			}
-		}
-		t.demote = t.h.Coldest(t.demote, deficit)
+		t.demote = sys.AppendColdestFMem(t.demote, ids, deficit, ctx.Sampler.SampledThisTick)
 	}
 	sys.Exchange(t.promote, t.demote)
 

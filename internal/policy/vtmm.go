@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"github.com/tieredmem/mtat/internal/hist"
 	"github.com/tieredmem/mtat/internal/mem"
 )
 
@@ -27,12 +26,8 @@ type VTMM struct {
 	lastDecision float64
 	lastAge      float64
 	targets      map[mem.WorkloadID]int
-	h            hist.Histogram
-	builder      hist.Builder
 	promote      []mem.PageID
 	demote       []mem.PageID
-	hot          []mem.PageID // HotSplitInto scratch
-	cold         []mem.PageID
 }
 
 var _ Policy = (*VTMM)(nil)
@@ -141,19 +136,7 @@ func (v *VTMM) repartition(sys *mem.System, ids []mem.WorkloadID) {
 
 // refine keeps the hottest `target` pages of one workload resident.
 func (v *VTMM) refine(sys *mem.System, id mem.WorkloadID, target int) {
-	v.hot, v.cold = v.builder.Unified(sys, id).HotSplitInto(v.hot, v.cold, target)
-	v.promote = v.promote[:0]
-	for _, pid := range v.hot {
-		if !sys.PageInFMem(pid) {
-			v.promote = append(v.promote, pid)
-		}
-	}
-	v.demote = v.demote[:0]
-	for i := len(v.cold) - 1; i >= 0; i-- {
-		if sys.PageInFMem(v.cold[i]) {
-			v.demote = append(v.demote, v.cold[i])
-		}
-	}
+	v.promote, v.demote = sys.HotSplit([]mem.WorkloadID{id}, target, v.promote[:0], v.demote[:0])
 	sys.Exchange(v.promote, v.demote)
 }
 

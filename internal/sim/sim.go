@@ -60,8 +60,10 @@ type Scenario struct {
 	// all instrumentation on its zero-cost no-op path.
 	Telemetry *telemetry.Telemetry
 	// ReferenceCore runs the scenario on the retained reference (seed)
-	// implementations of the core hot paths — eager hotness aging, the
-	// map-backed PEBS tick dedup, and full-sort queue quantiles — instead
+	// implementations of the core hot paths — eager hotness aging,
+	// per-call histogram rebuilds for hotness-ranked page selection, the
+	// map-backed PEBS tick dedup, full-CDF Zipf searches, and full-sort
+	// queue quantiles — instead
 	// of the optimized ones. Both cores are behaviorally identical; the
 	// internal/simtest differential harness runs every scenario both ways
 	// and asserts matching results. Not part of the RunSpec wire format.
@@ -206,7 +208,7 @@ func NewRunner(scn Scenario, pol policy.Policy) (*Runner, error) {
 	}
 	r.sampler = sampler
 	if scn.ReferenceCore {
-		sys.SetEagerAging(true)
+		sys.SetReference(true)
 		sampler.SetReference(true)
 		if r.lc != nil {
 			r.lc.Queue().SetReferenceQuantiles(true)

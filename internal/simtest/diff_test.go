@@ -10,6 +10,7 @@ import (
 
 	"github.com/tieredmem/mtat/internal/dist"
 	"github.com/tieredmem/mtat/internal/hypothesis"
+	"github.com/tieredmem/mtat/internal/mem"
 	"github.com/tieredmem/mtat/internal/sim"
 )
 
@@ -194,5 +195,31 @@ func TestReferenceCoreReachesFullZipfSearch(t *testing.T) {
 	}
 	if n := dist.ReferenceSearches() - mid; n != 0 {
 		t.Errorf("fast run made %d full Zipf searches, want 0", n)
+	}
+}
+
+// TestReferenceCoreReachesNaiveRanking checks that ReferenceCore answers
+// every hotness-ranked page selection through the per-call histogram
+// rebuild, the oracle for the hotness index, and that the fast core never
+// does. It must not run in parallel: the rebuild counter is process-wide.
+func TestReferenceCoreReachesNaiveRanking(t *testing.T) {
+	spec := sim.RunSpec{
+		LC: "redis", BEs: []string{"sssp"}, Policy: "memtis",
+		Load:  &sim.LoadSpec{Kind: "constant", Frac: 0.5, DurationSeconds: 5},
+		Scale: 32, Seed: 1,
+	}
+	before := mem.NaiveRankings()
+	if _, err := RunSpec(context.Background(), spec, true); err != nil {
+		t.Fatal(err)
+	}
+	mid := mem.NaiveRankings()
+	if mid == before {
+		t.Error("reference run made no naive rankings; is ReferenceCore plumbed to the memory system's queries?")
+	}
+	if _, err := RunSpec(context.Background(), spec, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := mem.NaiveRankings() - mid; n != 0 {
+		t.Errorf("fast run made %d naive rankings, want 0", n)
 	}
 }

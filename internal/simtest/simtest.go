@@ -1,6 +1,6 @@
 // Package simtest is the differential equivalence harness for the
 // simulator core. The hot paths of internal/mem, internal/pebs,
-// internal/hist, and internal/queue each retain their original (seed)
+// internal/dist, and internal/queue each retain their original (seed)
 // implementation behind a reference-mode switch; this package runs the
 // same sim.RunSpec + seed through both the reference and the optimized
 // core and asserts byte-identical outcomes — final page placements and

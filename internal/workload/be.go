@@ -54,12 +54,12 @@ func (c BEConfig) Validate() error {
 
 // BE is a best-effort workload attached to a memory system.
 type BE struct {
-	cfg   BEConfig
-	id    mem.WorkloadID
-	sys   *mem.System
-	dist  dist.Distribution
-	probs []float64
-	work  float64 // cumulative completed work units
+	cfg  BEConfig
+	id   mem.WorkloadID
+	sys  *mem.System
+	dist dist.Distribution
+	hits hitCache
+	work float64 // cumulative completed work units
 }
 
 // NewBE attaches a BE workload to sys with the given initial tier
@@ -78,11 +78,11 @@ func NewBE(sys *mem.System, cfg BEConfig, preferred mem.Tier) (*BE, error) {
 		return nil, fmt.Errorf("workload: %s distribution: %w", cfg.Name, err)
 	}
 	return &BE{
-		cfg:   cfg,
-		id:    id,
-		sys:   sys,
-		dist:  d,
-		probs: pageProbs(d, numPages),
+		cfg:  cfg,
+		id:   id,
+		sys:  sys,
+		dist: d,
+		hits: hitCache{probs: pageProbs(d, numPages)},
 	}, nil
 }
 
@@ -96,7 +96,7 @@ func (be *BE) ID() mem.WorkloadID { return be.id }
 func (be *BE) Dist() dist.Distribution { return be.dist }
 
 // HitRatio returns the FMem hit probability under current placement.
-func (be *BE) HitRatio() float64 { return hitRatio(be.sys, be.id, be.probs) }
+func (be *BE) HitRatio() float64 { return be.hits.ratio(be.sys, be.id) }
 
 // ThroughputAt returns work units/second at the given hit ratio.
 func (be *BE) ThroughputAt(hit float64) float64 {

@@ -67,12 +67,12 @@ func (c LCConfig) Validate() error {
 
 // LC is a latency-critical workload attached to a memory system.
 type LC struct {
-	cfg   LCConfig
-	id    mem.WorkloadID
-	sys   *mem.System
-	q     *queue.Model
-	dist  dist.Distribution
-	probs []float64
+	cfg  LCConfig
+	id   mem.WorkloadID
+	sys  *mem.System
+	q    *queue.Model
+	dist dist.Distribution
+	hits hitCache
 }
 
 // NewLC attaches an LC workload to sys, allocating its RSS with the given
@@ -100,12 +100,12 @@ func NewLC(sys *mem.System, cfg LCConfig, preferred mem.Tier, seed int64) (*LC, 
 	}
 	q.SetClientTimeout(timeout)
 	return &LC{
-		cfg:   cfg,
-		id:    id,
-		sys:   sys,
-		q:     q,
-		dist:  d,
-		probs: pageProbs(d, numPages),
+		cfg:  cfg,
+		id:   id,
+		sys:  sys,
+		q:    q,
+		dist: d,
+		hits: hitCache{probs: pageProbs(d, numPages)},
 	}, nil
 }
 
@@ -120,7 +120,7 @@ func (lc *LC) Dist() dist.Distribution { return lc.dist }
 
 // HitRatio returns the probability that a memory touch lands in FMem under
 // the current page placement.
-func (lc *LC) HitRatio() float64 { return hitRatio(lc.sys, lc.id, lc.probs) }
+func (lc *LC) HitRatio() float64 { return lc.hits.ratio(lc.sys, lc.id) }
 
 // ServiceDist returns the per-request service time distribution given an
 // FMem hit ratio and an extra per-request stall (e.g. TPP fault handling).

@@ -103,6 +103,26 @@ func pageProbs(d dist.Distribution, numPages int) []float64 {
 	return probs
 }
 
+// hitCache holds a workload's FMem hit ratio: the sum of its page
+// probabilities over FMem-resident pages. It is recomputed only when the
+// memory system reports that the workload's placement changed, with the
+// same pages, probabilities and summation order, so a cached value is
+// bit-identical to a fresh one.
+type hitCache struct {
+	probs   []float64 // per-page access probability, allocation order
+	version uint64    // placement version hit was computed at
+	valid   bool
+	hit     float64
+}
+
+// ratio returns the hit ratio of workload id under sys's current placement.
+func (c *hitCache) ratio(sys *mem.System, id mem.WorkloadID) float64 {
+	if v := sys.PlacementVersion(id); !c.valid || v != c.version {
+		c.hit, c.version, c.valid = hitRatio(sys, id, c.probs), v, true
+	}
+	return c.hit
+}
+
 // hitRatio sums page probabilities over FMem-resident pages.
 func hitRatio(sys *mem.System, id mem.WorkloadID, probs []float64) float64 {
 	var h float64
