@@ -309,15 +309,15 @@ func benchQueueTick(b *testing.B) {
 	}
 }
 
-// benchQueueTickRef is benchQueueTick on the retained reference quantile
-// path (per-tick draw allocation + full shell sort), for side-by-side
-// evidence in the report.
+// benchQueueTickRef is benchQueueTick on the retained reference paths
+// (full shell sort, math/rand's own generator), for side-by-side evidence
+// in the report.
 func benchQueueTickRef(b *testing.B) {
 	m, err := queue.NewModel(16, benchSeed)
 	if err != nil {
 		panic(fmt.Sprintf("corebench: %v", err))
 	}
-	m.SetReferenceQuantiles(true)
+	m.SetReference(true)
 	svc := queue.ExponentialService(500e-6)
 	rate := 0.8 * 16 / 500e-6
 	b.ReportAllocs()
@@ -370,7 +370,7 @@ func benchQueueQuantileRef(b *testing.B) {
 	if err != nil {
 		panic(fmt.Sprintf("corebench: %v", err))
 	}
-	m.SetReferenceQuantiles(true)
+	m.SetReference(true)
 	pristine := benchQuantileDraws()
 	draws := make([]float64, len(pristine))
 	b.ReportAllocs()

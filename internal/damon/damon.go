@@ -73,7 +73,10 @@ type Monitor struct {
 	start   mem.PageID
 	end     mem.PageID
 	regions []Region
-	rng     *rand.Rand
+	// regionOf[pid-start] is the index in regions of pid's region,
+	// rebuilt whenever the regions change.
+	regionOf []int32
+	rng      *rand.Rand
 }
 
 // NewMonitor returns a monitor over pages [start, end), initially split
@@ -104,7 +107,18 @@ func NewMonitor(start, end mem.PageID, cfg Config) (*Monitor, error) {
 		}
 		m.regions = append(m.regions, Region{Start: lo, End: hi})
 	}
+	m.regionOf = make([]int32, int(end-start))
+	m.index()
 	return m, nil
+}
+
+// index rebuilds regionOf from the regions.
+func (m *Monitor) index() {
+	for i, r := range m.regions {
+		for pid := r.Start; pid < r.End; pid++ {
+			m.regionOf[pid-m.start] = int32(i)
+		}
+	}
 }
 
 // NumRegions returns the current region count — the monitor's bookkeeping
@@ -121,17 +135,7 @@ func (m *Monitor) RecordAccess(pid mem.PageID) {
 	if pid < m.start || pid >= m.end {
 		return
 	}
-	// Binary search over the sorted, contiguous regions.
-	lo, hi := 0, len(m.regions)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.regions[mid].End <= pid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	m.regions[lo].Accesses++
+	m.regions[m.regionOf[pid-m.start]].Accesses++
 }
 
 // Aggregate closes the current interval: it folds counts into the
@@ -148,6 +152,7 @@ func (m *Monitor) Aggregate() {
 	for i := range m.regions {
 		m.regions[i].Accesses = 0
 	}
+	m.index()
 }
 
 // perPageRate returns a region's smoothed per-page access rate.
@@ -299,6 +304,13 @@ func (m *Monitor) CheckInvariants() error {
 	}
 	if len(m.regions) > m.cfg.MaxRegions {
 		return fmt.Errorf("damon: %d regions exceed max %d", len(m.regions), m.cfg.MaxRegions)
+	}
+	for i, r := range m.regions {
+		for pid := r.Start; pid < r.End; pid++ {
+			if got := m.regionOf[pid-m.start]; got != int32(i) {
+				return fmt.Errorf("damon: page %d indexed to region %d, lies in region %d", pid, got, i)
+			}
+		}
 	}
 	return nil
 }

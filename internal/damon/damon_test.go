@@ -182,3 +182,39 @@ func TestMergeRespectsMinRegions(t *testing.T) {
 		}
 	}
 }
+
+// Attribution through the per-page region index must match a search over
+// the regions, across aggregations that merge and split them.
+func TestRecordAccessMatchesRegionSearch(t *testing.T) {
+	const start, end = 37, 1000 // not word- or region-aligned
+	m, err := NewMonitor(start, end, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for interval := 0; interval < 30; interval++ {
+		want := make([]uint64, m.NumRegions())
+		for i := 0; i < 2000; i++ {
+			pid := mem.PageID(start + rng.Intn(end-start))
+			if interval%3 == 0 {
+				pid = mem.PageID(start + rng.Intn(50)) // a hot spot
+			}
+			m.RecordAccess(pid)
+			for j, r := range m.Regions() {
+				if pid >= r.Start && pid < r.End {
+					want[j]++
+				}
+			}
+		}
+		for j, r := range m.Regions() {
+			if r.Accesses != want[j] {
+				t.Fatalf("interval %d region %d [%d,%d): %d accesses, want %d",
+					interval, j, r.Start, r.End, r.Accesses, want[j])
+			}
+		}
+		m.Aggregate()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("interval %d: %v", interval, err)
+		}
+	}
+}

@@ -18,7 +18,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
+
+	"github.com/tieredmem/mtat/internal/rng"
 )
 
 // Distribution models the access popularity over n items ranked by hotness.
@@ -69,22 +72,77 @@ func (u *Uniform) CDF(k int) float64 {
 
 // Zipf is a Zipfian distribution with exponent theta over n items; item i
 // has probability proportional to 1/(i+1)^theta. theta = 0 degenerates to
-// uniform; larger theta concentrates accesses on fewer items.
+// uniform; larger theta concentrates accesses on fewer items. A Zipf is
+// immutable after construction, so one value serves any number of
+// goroutines (NewZipf shares them).
 type Zipf struct {
 	n     int
 	theta float64
 	// cdf[i] = probability mass of items [0, i]; len == n.
 	cdf []float64
-	// guide[j] = smallest i with cdf[i] >= j/n, for j = 0..n (Chen &
-	// Asau's guide table): a draw u in [j/n, (j+1)/n) lies in
-	// [guide[j], guide[j+1]], so Sample searches one bucket, not the CDF.
-	guide []int32
+	// guide is Chen & Asau's guide table over m buckets (guidePerItem
+	// per item, within maxGuideBuckets): with its flag bit clear,
+	// guide[j] is the smallest i with cdf[i] >= j/m, for j = 0..m. A
+	// draw u in bucket j = int(u*m) has its answer in
+	// [guide[j], guide[j+1]] up to rounding; guide[j] carries exactBit
+	// when no rounding can move it out (newGuide), so Sample searches one
+	// bucket, not the CDF.
+	guide []uint32
+	m     int     // len(guide) - 1
+	scale float64 // float64(m)
 }
 
 var _ Distribution = (*Zipf)(nil)
 
+// guidePerItem is the guide table's buckets per item. With four, most
+// buckets of a simulator Zipf hold a single candidate, which an exact
+// bucket returns without reading the CDF.
+const guidePerItem = 4
+
+// maxGuideBuckets caps the guide table of a large Zipf at 4 MB, as long
+// as that still leaves a bucket per item: past that size the table's
+// cache misses cost more than the candidates it saves.
+const maxGuideBuckets = 1 << 20
+
+// exactBit flags guide[j] when bucket j needs no bound checks. Guide
+// entries are item indices below 2^31, so the top bit is free.
+const exactBit = 1 << 31
+
+// exactSlack is the margin by which a bucket's CDF bounds must clear its
+// edges j/m and (j+1)/m to be flagged exact. A draw u lands in bucket j
+// only if u >= j/m - 2^-53 (u*m rounds up by at most half an ulp of j)
+// and u < (j+1)/m (rounding is monotone and j+1 is exact), and the edge
+// computed as float64(j)/float64(m) is within 2^-53 of j/m, so 2^-50
+// covers both errors with room to spare.
+const exactSlack = 0x1p-50
+
+// zipfCacheCapacity bounds the shared Zipf tables NewZipf keeps. A
+// paper-scale table (n = 9088) is about 220 KB, so a full cache of those
+// is about 7 MB.
+const zipfCacheCapacity = 32
+
+// zipfKey identifies a Zipf table.
+type zipfKey struct {
+	n     int
+	theta uint64 // math.Float64bits(theta)
+}
+
+// zipfCache is the process-wide LRU of Zipf tables behind NewZipf.
+var zipfCache = struct {
+	sync.Mutex
+	entries map[zipfKey]*zipfEntry
+	clock   uint64
+}{entries: make(map[zipfKey]*zipfEntry)}
+
+type zipfEntry struct {
+	z    *Zipf
+	used uint64 // clock at the last insert or hit, for LRU eviction
+}
+
 // NewZipf returns a Zipf distribution over n items with exponent theta.
-// n must be in (0, math.MaxInt32] and theta must be >= 0.
+// n must be in (0, math.MaxInt32] and theta must be >= 0. Tables are
+// immutable and shared: calls with the same n and theta return the same
+// *Zipf while it stays among the zipfCacheCapacity most recently used.
 func NewZipf(n int, theta float64) (*Zipf, error) {
 	if n <= 0 || int64(n) > math.MaxInt32 {
 		return nil, fmt.Errorf("dist: zipf n must be in (0, %d], got %d", math.MaxInt32, n)
@@ -92,31 +150,87 @@ func NewZipf(n int, theta float64) (*Zipf, error) {
 	if theta < 0 || math.IsNaN(theta) {
 		return nil, fmt.Errorf("dist: zipf theta must be >= 0, got %g", theta)
 	}
-	z := &Zipf{n: n, theta: theta, cdf: make([]float64, n)}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += math.Pow(float64(i+1), -theta)
-		z.cdf[i] = sum
+	key := zipfKey{n, math.Float64bits(theta)}
+	c := &zipfCache
+	c.Lock()
+	if e, ok := c.entries[key]; ok {
+		c.clock++
+		e.used = c.clock
+		c.Unlock()
+		return e.z, nil
 	}
-	for i := range z.cdf {
-		z.cdf[i] /= sum
+	c.Unlock()
+	z := newZipf(n, theta) // outside the lock: ~1 ms at paper scale
+	c.Lock()
+	defer c.Unlock()
+	c.clock++
+	if e, ok := c.entries[key]; ok { // a concurrent call built it first
+		e.used = c.clock
+		return e.z, nil
 	}
-	z.cdf[n-1] = 1 // guard against rounding
-	z.guide = newGuide(z.cdf)
+	if len(c.entries) >= zipfCacheCapacity {
+		var oldest zipfKey
+		var used uint64 = math.MaxUint64
+		for k, e := range c.entries {
+			if e.used < used {
+				oldest, used = k, e.used
+			}
+		}
+		delete(c.entries, oldest)
+	}
+	c.entries[key] = &zipfEntry{z: z, used: c.clock}
 	return z, nil
 }
 
-// newGuide returns the guide table of a non-decreasing cdf whose last
-// entry is 1.
-func newGuide(cdf []float64) []int32 {
-	n := len(cdf)
-	guide := make([]int32, n+1)
+// newZipf builds a private Zipf table; n and theta must be valid.
+func newZipf(n int, theta float64) *Zipf {
+	cdf := make([]float64, n)
+	var sum float64
+	for i := 0; i < n; i++ {
+		sum += math.Pow(float64(i+1), -theta)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	cdf[n-1] = 1 // guard against rounding
+	return zipfFromCDF(cdf, theta)
+}
+
+// zipfFromCDF builds a Zipf over a non-decreasing cdf whose last entry is
+// 1.
+func zipfFromCDF(cdf []float64, theta float64) *Zipf {
+	guide := newGuide(cdf)
+	m := len(guide) - 1
+	return &Zipf{n: len(cdf), theta: theta, cdf: cdf, guide: guide, m: m, scale: float64(m)}
+}
+
+// newGuide returns the flagged guide table of a non-decreasing cdf whose
+// last entry is 1. Bucket j is flagged exact when its lower candidate
+// guide[j] is 0 or cdf[guide[j]-1] sits exactSlack below the edge j/m, and
+// its upper candidate's CDF is 1 or sits exactSlack above (j+1)/m: then
+// every u that lands in the bucket has its answer inside it.
+func newGuide(cdf []float64) []uint32 {
+	m := max(min(guidePerItem*len(cdf), maxGuideBuckets), len(cdf))
+	guide := make([]uint32, m+1)
 	i := 0
-	for j := range guide {
-		for cdf[i] < float64(j)/float64(n) {
+	var prevEdge float64
+	for j := 0; j <= m; j++ {
+		edge := float64(j) / float64(m)
+		for cdf[i] < edge {
 			i++
 		}
-		guide[j] = int32(i)
+		guide[j] = uint32(i)
+		if j == 0 {
+			continue
+		}
+		// Bucket j-1 spans [prevEdge, edge).
+		lo, hi := int(guide[j-1]), i
+		if (lo == 0 || cdf[lo-1] < prevEdge-exactSlack) &&
+			(cdf[hi] >= 1 || cdf[hi] >= edge+exactSlack) {
+			guide[j-1] |= exactBit
+		}
+		prevEdge = edge
 	}
 	return guide
 }
@@ -128,19 +242,28 @@ func (z *Zipf) N() int { return z.n }
 func (z *Zipf) Theta() float64 { return z.theta }
 
 // Sample implements Distribution: the smallest i with cdf[i] >= u, found
-// by a binary search inside u's guide-table bucket.
+// inside u's guide-table bucket.
 func (z *Zipf) Sample(rng *rand.Rand) int { return z.search(rng.Float64()) }
 
 // search returns the smallest i with cdf[i] >= u for u in [0, 1) — the
-// same index searchFull returns. The bucket bounds are checked against
-// the CDF before searching, so the result does not depend on how u*n or
-// the table's j/n round.
+// same index searchFull returns. An exact bucket with one candidate
+// returns it without reading the CDF; an exact bucket with more
+// binary-searches between them. Any other bucket's bounds are first
+// checked against the CDF, so the result does not depend on how u*m or
+// the table's j/m round.
 func (z *Zipf) search(u float64) int {
-	j := int(u * float64(z.n))
-	if j >= z.n {
-		j = z.n - 1
+	j := int(u * z.scale)
+	if j >= z.m {
+		j = z.m - 1
 	}
-	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	g := z.guide[j]
+	lo, hi := int(g&^exactBit), int(z.guide[j+1]&^exactBit)
+	if g&exactBit != 0 {
+		if lo == hi {
+			return lo
+		}
+		return lowerBound(z.cdf, u, lo, hi)
+	}
 	for lo > 0 && z.cdf[lo-1] >= u {
 		lo--
 	}
@@ -191,6 +314,44 @@ func SampleReference(d Distribution, rng *rand.Rand) int {
 		return SampleReference(d.pick(rng.Float64()), rng)
 	}
 	return d.Sample(rng)
+}
+
+// Draw fills dst with draws from d on src's stream: the values, in order,
+// that len(dst) calls of d.Sample(src.Rand()) would return, leaving src
+// and any Scan position where those calls would. It dispatches on d's
+// type once per call rather than once per draw, and draws through src's
+// inlinable methods; only a Mixture still picks a component per draw.
+func Draw(d Distribution, src *rng.Source, dst []int) {
+	switch d := d.(type) {
+	case *Zipf:
+		for i := range dst {
+			dst[i] = d.search(src.Float64())
+		}
+	case *Uniform:
+		for i := range dst {
+			dst[i] = src.Intn(d.n)
+		}
+	case *Scan:
+		for i := range dst {
+			dst[i] = d.Sample(nil)
+		}
+	case *Mixture:
+		for i := range dst {
+			switch c := d.pick(src.Float64()).(type) {
+			case *Zipf:
+				dst[i] = c.search(src.Float64())
+			case *Scan:
+				dst[i] = c.Sample(nil)
+			default:
+				dst[i] = c.Sample(src.Rand())
+			}
+		}
+	default:
+		r := src.Rand()
+		for i := range dst {
+			dst[i] = d.Sample(r)
+		}
+	}
 }
 
 // CDF implements Distribution.

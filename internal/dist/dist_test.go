@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+
+	"github.com/tieredmem/mtat/internal/rng"
 )
 
 func TestNewUniformValidation(t *testing.T) {
@@ -285,14 +287,16 @@ func checkGuided(t *testing.T, z *Zipf, u float64) {
 }
 
 // zipfCases are the (n, theta) shapes every guide-table test covers: a
-// single item, theta 0 (uniform), the profiles' skews, and a theta so
-// large that cdf[0] is within rounding of 1.
+// single item, theta 0 (uniform), the profiles' skews, a theta so large
+// that cdf[0] is within rounding of 1, and a table capped below
+// guidePerItem buckets per item.
 var zipfCases = []struct {
 	n     int
 	theta float64
 }{
 	{1, 0}, {1, 2}, {2, 0}, {3, 0.5}, {7, 0}, {100, 0.2}, {1000, 0.99},
 	{9088, 0.7}, {9216, 1.05}, {4096, 3}, {500, 40}, {1 << 16, 0.55},
+	{300_000, 0.99}, // fewer than guidePerItem buckets per item (maxGuideBuckets)
 }
 
 // Property: for random n, theta and seed, every draw through the guide
@@ -334,8 +338,8 @@ func TestZipfGuidedMatchesFullSearchProperty(t *testing.T) {
 	}
 }
 
-// The guide buckets' edges are where rounding of u*n and j/n matters:
-// check u at exactly j/n and one ulp either side, and at the CDF values
+// The guide buckets' edges are where rounding of u*m and j/m matters:
+// check u at exactly j/m and one ulp either side, and at the CDF values
 // themselves.
 func TestZipfGuidedAtBucketEdges(t *testing.T) {
 	for _, c := range zipfCases {
@@ -343,16 +347,16 @@ func TestZipfGuidedAtBucketEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		step := 1 + c.n/2000
-		for j := 0; j <= c.n; j += step {
-			edge := float64(j) / float64(c.n)
+		step := 1 + z.m/2000
+		for j := 0; j <= z.m; j += step {
+			edge := float64(j) / float64(z.m)
 			for _, u := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2)} {
 				if u >= 0 && u < 1 {
 					checkGuided(t, z, u)
 				}
 			}
 		}
-		for i := 0; i < c.n; i += step {
+		for i := 0; i < c.n; i += 1 + c.n/2000 {
 			for _, u := range []float64{math.Nextafter(z.cdf[i], -1), z.cdf[i], math.Nextafter(z.cdf[i], 2)} {
 				if u >= 0 && u < 1 {
 					checkGuided(t, z, u)
@@ -363,42 +367,141 @@ func TestZipfGuidedAtBucketEdges(t *testing.T) {
 	}
 }
 
-// Where u*n and the table's j/n round differently, the guide bucket alone
+// Where u*m and the table's j/m round differently, the guide bucket alone
 // can miss the answer by one, and only the bound checks recover it. The
 // Zipf CDFs above rarely put a CDF value within an ulp of a bucket edge,
 // so this test builds one: cdf[i] = (i+1)/n with one value moved to the
-// ulp below an edge whose u*n rounds up into the edge's bucket. It then
-// shifts every guide entry one down and one up, so both bound checks must
-// repair every bucket.
+// ulp below an edge whose u*m rounds up into the edge's bucket. It then
+// shifts every guide entry one down and one up and clears every exact
+// flag, so both bound checks must repair every bucket. It mutates the
+// table, so it builds private ones, never the shared tables of NewZipf.
 func TestZipfGuidedBoundChecks(t *testing.T) {
-	found := false
-	for n := 2; n < 5000 && !found; n++ {
-		for m := 1; m < n; m++ {
-			edge := float64(m) / float64(n)
-			if u := math.Nextafter(edge, 0); int(u*float64(n)) == m {
-				cdf := evenCDF(n)
-				cdf[m-1] = u
-				checkGuided(t, &Zipf{n: n, cdf: cdf, guide: newGuide(cdf)}, u)
-				found = true
-				break
-			}
-		}
+	z, u := edgeZipf(t)
+	if z.guide[int(u*z.scale)]&exactBit != 0 {
+		t.Fatalf("bucket of u=%v flagged exact though a CDF value sits an ulp below its edge", u)
 	}
-	if !found {
-		t.Fatal("no edge found whose u*n rounds up")
-	}
+	checkGuided(t, z, u)
 	for _, shift := range []int32{-1, 1} {
-		z, err := NewZipf(2000, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range z.guide {
-			z.guide[j] = min(max(z.guide[j]+shift, 0), int32(z.n-1))
+		z := newZipf(2000, 0.9)
+		for j, g := range z.guide {
+			z.guide[j] = uint32(min(max(int32(g&^exactBit)+shift, 0), int32(z.n-1)))
 		}
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 20000; i++ {
 			checkGuided(t, z, rng.Float64())
 		}
+	}
+}
+
+// edgeZipf returns a private Zipf over cdf[i] = (i+1)/n, with one CDF value
+// moved to the ulp u just below a bucket edge j/m such that u*m rounds up
+// to j: u lands in bucket j, yet its answer is the item before guide[j].
+func edgeZipf(t *testing.T) (*Zipf, float64) {
+	t.Helper()
+	for n := 2; n < 5000; n++ {
+		m := guidePerItem * n
+		for i := 1; i < n; i++ {
+			j := guidePerItem * i // the edge j/m == i/n, where cdf[i-1] sits
+			edge := float64(j) / float64(m)
+			if u := math.Nextafter(edge, 0); int(u*float64(m)) == j {
+				cdf := evenCDF(n)
+				cdf[i-1] = u
+				return zipfFromCDF(cdf, 0), u
+			}
+		}
+	}
+	t.Fatal("no edge found whose u*m rounds up")
+	return nil, 0
+}
+
+// bucketExtremes returns the smallest and the largest u in [0, 1) with
+// int(u*m) == j (clamped to m-1, as search clamps), found by walking
+// ulps from the edges.
+func bucketExtremes(j, m int) (lo, hi float64) {
+	bucket := func(u float64) int { return min(int(u*float64(m)), m-1) }
+	lo = float64(j) / float64(m)
+	for lo > 0 && bucket(math.Nextafter(lo, 0)) >= j {
+		lo = math.Nextafter(lo, 0)
+	}
+	for bucket(lo) < j {
+		lo = math.Nextafter(lo, 1)
+	}
+	hi = math.Nextafter(1, 0)
+	if j < m-1 {
+		hi = float64(j+1) / float64(m)
+		for bucket(hi) > j {
+			hi = math.Nextafter(hi, 0)
+		}
+		for bucket(math.Nextafter(hi, 1)) <= j {
+			hi = math.Nextafter(hi, 1)
+		}
+	}
+	return lo, hi
+}
+
+// unsafeFlags returns the buckets flagged exact whose extreme draws the
+// flagged search answers wrongly. A flagged bucket is wrong for some draw
+// only if it is wrong for one of its extremes: the answer is monotone in
+// u, so a draw leaving the bucket's candidates below (above) means its
+// smallest (largest) draw leaves them too.
+func unsafeFlags(z *Zipf) []int {
+	var bad []int
+	for j := 0; j < z.m; j++ {
+		if z.guide[j]&exactBit == 0 {
+			continue
+		}
+		lo, hi := bucketExtremes(j, z.m)
+		for _, u := range []float64{lo, hi} {
+			if z.search(u) != lowerBound(z.cdf, u, 0, z.n-1) {
+				bad = append(bad, j)
+				break
+			}
+		}
+	}
+	return bad
+}
+
+// Every bucket newGuide flags exact must hold the answer of every draw
+// that lands in it, for every test shape and for a CDF with a value an ulp
+// below a bucket edge.
+func TestZipfExactBucketsSafe(t *testing.T) {
+	edge, _ := edgeZipf(t)
+	zs := []*Zipf{edge}
+	for _, c := range zipfCases {
+		zs = append(zs, newZipf(c.n, c.theta))
+	}
+	for _, z := range zs {
+		if bad := unsafeFlags(z); len(bad) > 0 {
+			t.Errorf("n=%d theta=%g: %d buckets flagged exact answer a draw wrongly, first %d",
+				z.n, z.theta, len(bad), bad[0])
+		}
+	}
+	// The flags must pay off: a simulator-sized table flags nearly every
+	// bucket, and most of those hold one candidate.
+	z := newZipf(9088, 0.7)
+	flagged, single := 0, 0
+	for j := 0; j < z.m; j++ {
+		if z.guide[j]&exactBit != 0 {
+			flagged++
+			if z.guide[j]&^exactBit == z.guide[j+1]&^exactBit {
+				single++
+			}
+		}
+	}
+	if flagged < z.m*99/100 || single < z.m/2 {
+		t.Errorf("n=9088 theta=0.7: %d of %d buckets exact, %d with one candidate", flagged, z.m, single)
+	}
+}
+
+// The check above must catch a flag on an unsafe bucket: setting the flag
+// on the edge case's bucket makes unsafeFlags name it.
+func TestUnsafeFlagIsCaught(t *testing.T) {
+	z, u := edgeZipf(t)
+	j := int(u * z.scale)
+	z.guide[j] |= exactBit
+	bad := unsafeFlags(z)
+	if len(bad) != 1 || bad[0] != j {
+		t.Fatalf("unsafeFlags = %v after flagging unsafe bucket %d, want [%d]", bad, j, j)
 	}
 }
 
@@ -472,11 +575,164 @@ func FuzzZipfGuide(f *testing.F) {
 		}
 		checkGuided(t, z, u)
 		// The bucket edge nearest u, and one ulp either side of it.
-		edge := math.Round(u*float64(n)) / float64(n)
+		edge := math.Round(u*z.scale) / z.scale
 		for _, v := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2)} {
 			if v >= 0 && v < 1 {
 				checkGuided(t, z, v)
 			}
 		}
 	})
+}
+
+// drawCases builds, afresh on each call, the distributions Draw must
+// match a Sample loop on: each shape the simulator uses, a stateful Scan
+// started mid-pass, and a Mixture with a component Draw has no case for.
+func drawCases(t *testing.T) map[string]Distribution {
+	t.Helper()
+	must := func(d Distribution, err error) Distribution {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	z := must(NewZipf(3000, 0.55))
+	scan := must(NewScan(3000)).(*Scan)
+	scan.next = 2990 // wraps within the first draws
+	mixScan := must(NewScan(3000))
+	return map[string]Distribution{
+		"zipf":        must(NewZipf(9088, 0.7)),
+		"zipf-theta0": must(NewZipf(540, 0)),
+		"uniform":     must(NewUniform(9088)),
+		"uniform-pow": must(NewUniform(1024)),
+		"scan":        scan,
+		"zipf+scan":   must(NewMixture([]Distribution{z, mixScan}, []float64{0.7, 0.3})),
+		"zipf+uniform": must(NewMixture(
+			[]Distribution{z, must(NewUniform(3000))}, []float64{0.5, 0.5})),
+		"mixture-of-mixture": must(NewMixture(
+			[]Distribution{must(NewMixture([]Distribution{z}, []float64{1})), must(NewUniform(3000))},
+			[]float64{0.5, 0.5})),
+	}
+}
+
+// Draw must return exactly what a loop of d.Sample over math/rand returns
+// on the same seed, batch after batch, and leave the stream where that
+// loop leaves it.
+func TestDrawMatchesSampleLoop(t *testing.T) {
+	batched, looped := drawCases(t), drawCases(t)
+	for name, d := range batched {
+		src, std := rng.New(17), rand.New(rand.NewSource(17))
+		ref := looped[name]
+		buf := make([]int, 700)
+		for batch, k := range []int{0, 1, 700, 333, 607, 700} {
+			Draw(d, src, buf[:k])
+			for i, got := range buf[:k] {
+				if want := ref.Sample(std); got != want {
+					t.Fatalf("%s batch %d draw %d: Draw %d, Sample %d", name, batch, i, got, want)
+				}
+			}
+		}
+		if src.Int63() != std.Int63() {
+			t.Errorf("%s: streams diverged after the batches", name)
+		}
+	}
+}
+
+// NewZipf shares one immutable table per (n, theta); the private
+// constructor never does.
+func TestNewZipfSharesTables(t *testing.T) {
+	a, _ := NewZipf(777, 0.7)
+	b, _ := NewZipf(777, 0.7)
+	if a != b {
+		t.Error("NewZipf(777, 0.7) built two tables")
+	}
+	if c, _ := NewZipf(777, 0.71); c == a {
+		t.Error("different theta shares a table")
+	}
+	if c, _ := NewZipf(778, 0.7); c == a {
+		t.Error("different n shares a table")
+	}
+	if newZipf(777, 0.7) == a {
+		t.Error("newZipf returned a shared table")
+	}
+	// Filling the cache with other shapes evicts the least recently used
+	// table, and a rebuilt one equals it.
+	for i := 0; i < zipfCacheCapacity; i++ {
+		if _, err := NewZipf(1000+i, 0.7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zipfCache.Lock()
+	n := len(zipfCache.entries)
+	_, kept := zipfCache.entries[zipfKey{777, math.Float64bits(0.7)}]
+	zipfCache.Unlock()
+	if n > zipfCacheCapacity || kept {
+		t.Errorf("cache holds %d tables (cap %d), 777 kept=%v", n, zipfCacheCapacity, kept)
+	}
+	c, _ := NewZipf(777, 0.7)
+	if c == a {
+		t.Error("evicted table returned again")
+	}
+	for i := range a.cdf {
+		if a.cdf[i] != c.cdf[i] {
+			t.Fatalf("rebuilt cdf[%d] = %v, was %v", i, c.cdf[i], a.cdf[i])
+		}
+	}
+	for j := range a.guide {
+		if a.guide[j] != c.guide[j] {
+			t.Fatalf("rebuilt guide[%d] = %#x, was %#x", j, c.guide[j], a.guide[j])
+		}
+	}
+}
+
+// Concurrent NewZipf calls and draws from the shared tables must be free
+// of data races (go test -race) and agree on every table.
+func TestNewZipfConcurrent(t *testing.T) {
+	const workers = 4
+	got := make([][]*Zipf, workers)
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			src := rng.New(int64(w))
+			buf := make([]int, 256)
+			for i := 0; i < 3*zipfCacheCapacity; i++ {
+				z, err := NewZipf(500+i%(2*zipfCacheCapacity), 0.9)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				Draw(z, src, buf)
+				if i < 8 {
+					got[w] = append(got[w], z)
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	for w := 1; w < workers; w++ {
+		for i := range got[0] {
+			if got[w][i].n != got[0][i].n || got[w][i].cdf[got[0][i].n/2] != got[0][i].cdf[got[0][i].n/2] {
+				t.Fatalf("worker %d table %d differs", w, i)
+			}
+		}
+	}
+}
+
+// BenchmarkNewZipfBuild times building a paper-scale table (what NewZipf
+// pays on a cache miss); BenchmarkNewZipfShared times a cache hit.
+func BenchmarkNewZipfBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		newZipf(9088, 0.7)
+	}
+}
+
+func BenchmarkNewZipfShared(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewZipf(9088, 0.7); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -94,10 +94,10 @@ func (s *System) ageIndex() {
 	}
 }
 
-// span returns the PageID range [lo, hi) of w's pages.
+// span is WorkloadRange as ints.
 func (s *System) span(w WorkloadID) (lo, hi int) {
-	p := s.byOwner[w]
-	return int(p[0]), int(p[0]) + len(p)
+	l, h := s.WorkloadRange(w)
+	return int(l), int(h)
 }
 
 // tierSel selects pages by tier in a bitset word: a page passes when its

@@ -242,12 +242,13 @@ func runHotIndexOps(t *testing.T, data []byte) {
 				want = append(want, make([]uint64, sys.NumPages()-len(want))...)
 			} // else the system is full
 		case 1: // a batch of sampled accesses, repeats included
-			pids := make([]PageID, 1+ops.next()%16)
-			for i := range pids {
-				pids[i] = ops.pid(sys)
-				want[pids[i]]++
+			for n := 1 + ops.next()%16; n > 0; n-- {
+				pid := ops.pid(sys)
+				want[pid]++
+				if sys.AddSample(pid) != sys.PageInFMem(pid) {
+					t.Fatalf("step %d: AddSample(%d) misreports the tier", step, pid)
+				}
 			}
-			sys.AddSamples(pids)
 		case 2: // a huge increment, past the top bin's 2^30 floor
 			add(ops.pid(sys), uint64(1)<<(ops.next()%40)+uint64(ops.next()))
 		case 3: // aging: one pass, or a deep run that zeroes every counter

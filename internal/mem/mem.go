@@ -11,6 +11,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -313,6 +314,39 @@ func (s *System) PageHotness(pid PageID) uint64 {
 // returned slice is owned by the System and must not be mutated.
 func (s *System) WorkloadPages(w WorkloadID) []PageID { return s.byOwner[w] }
 
+// WorkloadRange returns the PageID range [lo, hi) of w's pages, which is
+// never empty. A workload's pages are allocated together, so they are
+// exactly that range, in allocation order: WorkloadPages(w)[i] == lo + i.
+func (s *System) WorkloadRange(w WorkloadID) (lo, hi PageID) {
+	p := s.byOwner[w]
+	return p[0], p[0] + PageID(len(p))
+}
+
+// FMemWeight returns the sum of weights[pid-lo] over w's FMem-resident
+// pages pid, where [lo, hi) is WorkloadRange(w) and len(weights) is
+// hi-lo. It adds in ascending PageID order, the order a loop over
+// WorkloadPages(w) adds in, so the float is the same bit for bit; it
+// reads the occupancy bitset a word at a time, so pages in SMem cost
+// nothing.
+func (s *System) FMemWeight(w WorkloadID, weights []float64) float64 {
+	lo, hi := s.span(w)
+	weights = weights[:hi-lo]
+	var sum float64
+	for i := lo >> 6; i <= (hi-1)>>6; i++ {
+		word := s.fmemBits[i]
+		if i == lo>>6 {
+			word &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if i == (hi-1)>>6 {
+			word &= ^uint64(0) >> (63 - uint(hi-1)&63)
+		}
+		for ; word != 0; word &= word - 1 {
+			sum += weights[i<<6|bits.TrailingZeros64(word)-lo]
+		}
+	}
+	return sum
+}
+
 // TotalPages returns the number of pages allocated to w.
 func (s *System) TotalPages(w WorkloadID) int { return s.accounts[w].total }
 
@@ -349,18 +383,18 @@ func (s *System) AddHotness(pid PageID, delta uint64) {
 	}
 }
 
-// AddSamples adds one sampled access to each page of pids, as
-// AddHotness(pid, 1) would for each in turn. The common case — an
-// up-to-date counter that does not reach a power of two, so its bin stays
-// put — is handled inside the loop, without a call.
-func (s *System) AddSamples(pids []PageID) {
-	for _, pid := range pids {
-		if v := s.hot[pid]; s.hotEpoch[pid] == s.epoch && v&(v+1) != 0 {
-			s.hot[pid] = v + 1
-			continue
-		}
+// AddSample adds one sampled access to pid, as AddHotness(pid, 1) does,
+// and reports whether pid is FMem-resident: the two things the PEBS
+// sampler does per sample, in one call. The common case, an up-to-date
+// counter that does not reach a power of two so that its bin stays put,
+// needs no further call.
+func (s *System) AddSample(pid PageID) (inFMem bool) {
+	if v := s.hot[pid]; s.hotEpoch[pid] == s.epoch && v&(v+1) != 0 {
+		s.hot[pid] = v + 1
+	} else {
 		s.AddHotness(pid, 1)
 	}
+	return s.inFMem(pid)
 }
 
 // fold applies pid's outstanding aging epochs to its stored counter and

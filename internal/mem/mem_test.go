@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -408,5 +409,59 @@ func TestMigrationInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FMemWeight over ranges that start and end mid-word, span several words,
+// fill exactly one, or hold a single page, each under every placement
+// pattern below: the sum must equal a loop over the pages bit for bit.
+func TestFMemWeightMidWordRanges(t *testing.T) {
+	cfg := testConfig()
+	cfg.FMemBytes = 512 * cfg.PageSize
+	cfg.SMemBytes = 512 * cfg.PageSize
+	cfg.MigrationBandwidth = 1 << 40
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []WorkloadID
+	for _, pages := range []int64{3, 70, 64, 1, 130, 59} { // [0,3) [3,73) [73,137) [137,138) [138,268) [268,327)
+		id, err := s.AddWorkload(pages*cfg.PageSize, TierSMem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	patterns := []func(pid PageID) bool{
+		func(PageID) bool { return false },
+		func(PageID) bool { return true },
+		func(pid PageID) bool { return pid%3 == 0 },
+		func(pid PageID) bool { return pid&63 == 0 || pid&63 == 63 }, // word edges only
+	}
+	for p, inFMem := range patterns {
+		s.BeginTick(time.Second)
+		for pid := PageID(0); int(pid) < s.NumPages(); pid++ {
+			to := TierSMem
+			if inFMem(pid) {
+				to = TierFMem
+			}
+			if err := s.Migrate(pid, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range ids {
+			lo, hi := s.WorkloadRange(id)
+			weights := make([]float64, hi-lo)
+			var want float64
+			for i := range weights {
+				weights[i] = 1 / float64(7+3*i)
+				if s.PageInFMem(lo + PageID(i)) {
+					want += weights[i]
+				}
+			}
+			if got := s.FMemWeight(id, weights); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("pattern %d workload %d [%d,%d): FMemWeight %v, page loop %v", p, id, lo, hi, got, want)
+			}
+		}
 	}
 }

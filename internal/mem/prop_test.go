@@ -42,6 +42,7 @@ func TestSystemInvariantsRandomOps(t *testing.T) {
 			t.Fatalf("%s: smemUsed+free = %d, want cap %d", step, got, sys.smemCap)
 		}
 		var fmemSum, totalSum int
+		var nextLo PageID
 		for w := 0; w < sys.NumWorkloads(); w++ {
 			id := WorkloadID(w)
 			fmemSum += sys.FMemPages(id)
@@ -59,6 +60,32 @@ func TestSystemInvariantsRandomOps(t *testing.T) {
 			if bits != sys.FMemPages(id) {
 				t.Fatalf("%s: workload %d bitset count %d != account %d",
 					step, id, bits, sys.FMemPages(id))
+			}
+			// The pages are one contiguous range in allocation order,
+			// right after the previous workload's.
+			lo, hi := sys.WorkloadRange(id)
+			if int(hi-lo) != sys.TotalPages(id) || (w > 0 && lo != nextLo) || (w == 0 && lo != 0) {
+				t.Fatalf("%s: workload %d range [%d, %d), %d pages, previous range ended at %d",
+					step, id, lo, hi, sys.TotalPages(id), nextLo)
+			}
+			nextLo = hi
+			for i, pid := range sys.WorkloadPages(id) {
+				if pid != lo+PageID(i) {
+					t.Fatalf("%s: workload %d page %d is %d, want %d", step, id, i, pid, lo+PageID(i))
+				}
+			}
+			// FMemWeight sums the same weights in the same order as a
+			// loop over the pages, so the floats are identical.
+			weights := make([]float64, hi-lo)
+			var want float64
+			for i, pid := range sys.WorkloadPages(id) {
+				weights[i] = 1 / float64(3+int(pid)*7%11+i)
+				if sys.PageInFMem(pid) {
+					want += weights[i]
+				}
+			}
+			if got := sys.FMemWeight(id, weights); got != want {
+				t.Fatalf("%s: workload %d FMemWeight %v, page loop %v", step, id, got, want)
 			}
 		}
 		if fmemSum != sys.fmemUsed {

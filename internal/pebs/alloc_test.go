@@ -1,7 +1,9 @@
 package pebs
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,5 +141,119 @@ func BenchmarkRecordTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.BeginTick()
 		s.RecordAccesses(w, d, 200_000)
+	}
+}
+
+// TestFusedPassMatchesReference runs the fast sampler (inlinable rng copy,
+// batched draws, one fused filing pass) and the reference sampler
+// (math/rand, full-CDF draws, map dedup) side by side over the page
+// geometry of a paper-scale and a scale-16 cell: workloads whose page
+// ranges start and end mid-word, with the simulator's distribution shapes
+// over exactly their pages, between page migrations and agings. Hotness,
+// tier counts and tick pages must agree tick by tick.
+func TestFusedPassMatchesReference(t *testing.T) {
+	for _, scale := range []int{1, 16} {
+		t.Run(fmt.Sprintf("scale%d", scale), func(t *testing.T) {
+			build := func() (*mem.System, *Sampler, []mem.WorkloadID, []dist.Distribution) {
+				cfg := mem.DefaultConfig()
+				cfg.FMemBytes /= int64(scale)
+				cfg.SMemBytes /= int64(scale)
+				sys, err := mem.NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Redis-, SSSP-, PR- and BFS-sized workloads (in pages at
+				// paper scale), the first two starting in FMem.
+				var ids []mem.WorkloadID
+				var ds []dist.Distribution
+				for i, pages := range []int{3061, 9088, 6109, 7939} {
+					tier := mem.TierSMem
+					if i < 2 {
+						tier = mem.TierFMem
+					}
+					id, err := sys.AddWorkload(int64(pages/scale)*cfg.PageSize, tier)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := sys.TotalPages(id)
+					var d dist.Distribution
+					switch i {
+					case 0:
+						d, err = dist.NewUniform(n)
+					case 1:
+						d, err = dist.NewZipf(n, 0.7)
+					case 2:
+						d, err = dist.NewZipf(n, 1.05)
+					case 3:
+						z, _ := dist.NewZipf(n, 0.55)
+						s, _ := dist.NewScan(n)
+						d, err = dist.NewMixture([]dist.Distribution{z, s}, []float64{0.7, 0.3})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids, ds = append(ids, id), append(ds, d)
+				}
+				s, err := NewSampler(sys, 0.01, 77)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys, s, ids, ds
+			}
+			fsys, fast, ids, fds := build()
+			rsys, ref, _, rds := build()
+			ref.SetReference(true)
+			rsys.SetReference(true)
+			for _, w := range ids {
+				if lo, _ := fsys.WorkloadRange(w); w > 0 && lo%64 == 0 {
+					t.Fatalf("workload %d starts on a word boundary; the geometry no longer tests mid-word ranges", w)
+				}
+			}
+
+			mig := rand.New(rand.NewSource(5))
+			for tick := 0; tick < 200; tick++ {
+				fast.BeginTick()
+				ref.BeginTick()
+				fsys.BeginTick(100 * time.Millisecond)
+				rsys.BeginTick(100 * time.Millisecond)
+				for i, w := range ids {
+					n := uint64(20_000 + mig.Intn(400_000))
+					fast.RecordAccesses(w, fds[i], n)
+					ref.RecordAccesses(w, rds[i], n)
+					if !slices.Equal(fast.TickPages(w), ref.TickPages(w)) ||
+						fast.TickFMemAccesses(w) != ref.TickFMemAccesses(w) ||
+						fast.TickSMemAccesses(w) != ref.TickSMemAccesses(w) {
+						t.Fatalf("tick %d workload %d: fast %d pages %d/%d, reference %d pages %d/%d", tick, w,
+							len(fast.TickPages(w)), fast.TickFMemAccesses(w), fast.TickSMemAccesses(w),
+							len(ref.TickPages(w)), ref.TickFMemAccesses(w), ref.TickSMemAccesses(w))
+					}
+				}
+				// Move a few pages between tiers and age now and then, so
+				// later ticks file samples against a changing placement.
+				for i := 0; i < 20; i++ {
+					pid := mem.PageID(mig.Intn(fsys.NumPages()))
+					to := mem.TierFMem
+					if fsys.PageInFMem(pid) {
+						to = mem.TierSMem
+					}
+					ferr, rerr := fsys.Migrate(pid, to), rsys.Migrate(pid, to)
+					if ferr != rerr {
+						t.Fatalf("tick %d: migrate %d: fast %v, reference %v", tick, pid, ferr, rerr)
+					}
+				}
+				if tick%20 == 19 {
+					fsys.AgeHotness()
+					rsys.AgeHotness()
+				}
+			}
+			for pid := 0; pid < fsys.NumPages(); pid++ {
+				if f, r := fsys.PageHotness(mem.PageID(pid)), rsys.PageHotness(mem.PageID(pid)); f != r {
+					t.Fatalf("page %d: fast hotness %d, reference %d", pid, f, r)
+				}
+			}
+			if fast.TotalSamples() != ref.TotalSamples() {
+				t.Fatalf("fast drew %d samples, reference %d", fast.TotalSamples(), ref.TotalSamples())
+			}
+		})
 	}
 }

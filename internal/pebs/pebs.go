@@ -11,9 +11,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/tieredmem/mtat/internal/dist"
 	"github.com/tieredmem/mtat/internal/mem"
+	"github.com/tieredmem/mtat/internal/rng"
 )
 
 // Sampler draws sampled page accesses and maintains per-tick tier access
@@ -21,7 +23,12 @@ import (
 type Sampler struct {
 	sys  *mem.System
 	rate float64
-	rng  *rand.Rand
+	seed int64
+	// src draws the samples; rng is a math/rand.Rand on the same stream
+	// for the Poisson count. In reference mode rng is math/rand's own
+	// generator and draws everything (SetReference).
+	src *rng.Source
+	rng *rand.Rand
 
 	// Per-tick, per-workload sampled access counts by tier.
 	fmemTick []uint64
@@ -35,13 +42,12 @@ type Sampler struct {
 	seen []uint32
 	gen  uint32
 	// Reference (seed) paths for the differential harness: map-backed
-	// dedup and full-CDF distribution draws (SetReference).
+	// dedup and full-CDF distribution draws from math/rand
+	// (SetReference).
 	ref         bool
 	tickPageSet map[mem.PageID]struct{}
-	// Scratch buffers for batched distribution draws and the pages they
-	// land on.
+	// draws is the scratch buffer for one call's distribution draws.
 	draws []int
-	pids  []mem.PageID
 	// Cumulative sampled counts (never reset; used by overhead accounting).
 	totalSamples uint64
 }
@@ -56,10 +62,13 @@ func NewSampler(sys *mem.System, rate float64, seed int64) (*Sampler, error) {
 	if rate <= 0 || rate > 1 || math.IsNaN(rate) {
 		return nil, fmt.Errorf("pebs: rate must be in (0,1], got %g", rate)
 	}
+	src := rng.New(seed)
 	return &Sampler{
 		sys:  sys,
 		rate: rate,
-		rng:  rand.New(rand.NewSource(seed)),
+		seed: seed,
+		src:  src,
+		rng:  src.Rand(),
 		gen:  1,
 	}, nil
 }
@@ -71,14 +80,23 @@ func (s *Sampler) Rate() float64 { return s.rate }
 func (s *Sampler) TotalSamples() uint64 { return s.totalSamples }
 
 // SetReference switches the sampler to its retained reference paths:
-// per-tick page dedup through the original map, and every draw through
-// dist.SampleReference (the full binary search over a Zipf CDF instead of
-// the guide table). Output is identical either way; the differential
-// harness uses this as the oracle for the fast paths.
+// per-tick page dedup through the original map, every draw from
+// math/rand's own generator (rng.NewReference) instead of the inlinable
+// copy, and every distribution draw through dist.SampleReference (the
+// full binary search over a Zipf CDF instead of the guide table). Output
+// is identical either way; the differential harness uses this as the
+// oracle for the fast paths. Switching restarts the draws at the seed, so
+// call it before the first RecordAccesses.
 func (s *Sampler) SetReference(ref bool) {
 	s.ref = ref
-	if ref && s.tickPageSet == nil {
-		s.tickPageSet = make(map[mem.PageID]struct{})
+	if ref {
+		s.src, s.rng = nil, rng.NewReference(s.seed)
+		if s.tickPageSet == nil {
+			s.tickPageSet = make(map[mem.PageID]struct{})
+		}
+	} else {
+		s.src = rng.New(s.seed)
+		s.rng = s.src.Rand()
 	}
 }
 
@@ -122,59 +140,98 @@ func (s *Sampler) RecordAccesses(w mem.WorkloadID, d dist.Distribution, n uint64
 	if n == 0 {
 		return
 	}
-	pages := s.sys.WorkloadPages(w)
-	if len(pages) == 0 {
-		return
-	}
+	lo, hi := s.sys.WorkloadRange(w)
+	pages := int(hi - lo)
 	k := s.poisson(float64(n) * s.rate)
-	itemsPerPage := float64(d.N()) / float64(len(pages))
-	if itemsPerPage <= 0 {
-		itemsPerPage = 1
-	}
-	// Batch all RNG draws up front into the scratch buffer. Processing
-	// below consumes no randomness, so the RNG stream is identical to
-	// drawing one sample per loop iteration.
+	// Draw every sample up front into the scratch buffer. Filing them
+	// consumes no randomness, so the stream is the one a draw per sample
+	// would consume.
 	if uint64(cap(s.draws)) < k {
 		s.draws = make([]int, k)
 	}
-	s.draws = s.draws[:k]
+	draws := s.draws[:k]
 	if s.ref {
-		for i := range s.draws {
-			s.draws[i] = dist.SampleReference(d, s.rng)
+		for i := range draws {
+			draws[i] = dist.SampleReference(d, s.rng)
 		}
+		s.fileReference(w, pages, d.N(), draws)
 	} else {
-		for i := range s.draws {
-			s.draws[i] = d.Sample(s.rng)
+		dist.Draw(d, s.src, draws)
+		s.file(w, lo, pages, d.N(), draws)
+	}
+	s.totalSamples += k
+}
+
+// pageIndex maps an item rank of a distribution over items items onto
+// one of pages pages: item i lands on page floor(i / (items/pages)),
+// clamped to the last page.
+func pageIndex(item, items, pages int) int {
+	itemsPerPage := float64(items) / float64(pages)
+	if itemsPerPage <= 0 {
+		itemsPerPage = 1
+	}
+	if idx := int(float64(item) / itemsPerPage); idx < pages {
+		return idx
+	}
+	return pages - 1
+}
+
+// file records the drawn items of workload w, whose pages are
+// [base, base+pages), in one pass: each sample bumps its page's hotness,
+// counts as an FMem or SMem access, and adds its page to TickPages on the
+// page's first sample this tick. Every simulator workload's distribution
+// covers exactly its pages (items == pages), so item i is page base+i;
+// other shapes go through pageIndex.
+func (s *Sampler) file(w mem.WorkloadID, base mem.PageID, pages, items int, draws []int) {
+	if items != pages {
+		for i, item := range draws {
+			draws[i] = pageIndex(item, items, pages)
 		}
 	}
-	s.pids = s.pids[:0]
-	for _, item := range s.draws {
-		pageIdx := int(float64(item) / itemsPerPage)
-		if pageIdx >= len(pages) {
-			pageIdx = len(pages) - 1
+	sys, seen, gen := s.sys, s.seen, s.gen
+	// Append branch-free: every sample writes its page past the end, and
+	// only a page's first sample this tick advances the end.
+	tickPages := slices.Grow(s.tickPages[w], len(draws))
+	n := len(tickPages)
+	tickPages = tickPages[:n+len(draws)]
+	var hits uint64
+	for _, idx := range draws {
+		pid := base + mem.PageID(idx)
+		if sys.AddSample(pid) {
+			hits++
 		}
-		s.pids = append(s.pids, pages[pageIdx])
+		tickPages[n] = pid
+		if seen[pid] != gen {
+			n++
+		}
+		seen[pid] = gen
 	}
-	s.sys.AddSamples(s.pids)
-	fmemN, smemN := s.fmemTick[w], s.smemTick[w]
-	for _, pid := range s.pids {
+	s.tickPages[w] = tickPages[:n]
+	s.fmemTick[w] += hits
+	s.smemTick[w] += uint64(len(draws)) - hits
+}
+
+// fileReference is file on the seed implementation's path: pages through
+// WorkloadPages, hotness first, then the tier probe and the map-backed
+// dedup.
+func (s *Sampler) fileReference(w mem.WorkloadID, pages, items int, draws []int) {
+	owned := s.sys.WorkloadPages(w)
+	for i, item := range draws {
+		draws[i] = pageIndex(item, items, pages)
+		s.sys.AddHotness(owned[draws[i]], 1)
+	}
+	for _, idx := range draws {
+		pid := owned[idx]
 		if s.sys.PageInFMem(pid) {
-			fmemN++
+			s.fmemTick[w]++
 		} else {
-			smemN++
+			s.smemTick[w]++
 		}
-		if s.ref {
-			if _, dup := s.tickPageSet[pid]; !dup {
-				s.tickPageSet[pid] = struct{}{}
-				s.tickPages[w] = append(s.tickPages[w], pid)
-			}
-		} else if s.seen[pid] != s.gen {
-			s.seen[pid] = s.gen
+		if _, dup := s.tickPageSet[pid]; !dup {
+			s.tickPageSet[pid] = struct{}{}
 			s.tickPages[w] = append(s.tickPages[w], pid)
 		}
 	}
-	s.fmemTick[w], s.smemTick[w] = fmemN, smemN
-	s.totalSamples += k
 }
 
 // TickPages returns the unique pages of workload w sampled this tick, in

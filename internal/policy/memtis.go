@@ -1,5 +1,7 @@
 package policy
 
+import "github.com/tieredmem/mtat/internal/mem"
+
 // MEMTIS reimplements the MEMTIS baseline [Lee et al., SOSP'23] as the
 // paper describes it (§5): a single access histogram spans every workload,
 // and the globally hottest pages are kept in FMem regardless of which
@@ -11,6 +13,7 @@ type MEMTIS struct {
 	AgingInterval float64
 	lastAge       float64
 	pool          pool
+	ids           []mem.WorkloadID // every workload, LC first (Init)
 }
 
 var _ Policy = (*MEMTIS)(nil)
@@ -24,17 +27,17 @@ func (m *MEMTIS) Name() string { return "MEMTIS" }
 // Init implements Policy.
 func (m *MEMTIS) Init(ctx *Context) error {
 	m.pool.attach(ctx)
+	m.ids = workloadIDs(m.ids, ctx)
 	return nil
 }
 
 // Tick implements Policy: one global hotness-ranked pool over all
 // workloads, sized to the whole of FMem.
 func (m *MEMTIS) Tick(ctx *Context) error {
-	ids := workloadIDs(ctx)
-	if len(ids) == 0 {
+	if len(m.ids) == 0 {
 		return nil
 	}
-	m.pool.manage(ctx.Sys, ids, ctx.Sys.FMemCapacityPages())
+	m.pool.manage(ctx.Sys, m.ids, ctx.Sys.FMemCapacityPages())
 	if ctx.Now-m.lastAge >= m.AgingInterval {
 		ctx.Sys.AgeHotness()
 		m.lastAge = ctx.Now

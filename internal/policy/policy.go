@@ -56,9 +56,11 @@ type Policy interface {
 	LCStall() float64
 }
 
-// workloadIDs returns the IDs of every workload in the context, LC first.
-func workloadIDs(ctx *Context) []mem.WorkloadID {
-	ids := make([]mem.WorkloadID, 0, len(ctx.BEs)+1)
+// workloadIDs returns dst[:0] extended with the IDs of every workload in
+// the context, LC first. The workload set is fixed once a policy is
+// initialized, so policies call it from Init and keep the slice.
+func workloadIDs(dst []mem.WorkloadID, ctx *Context) []mem.WorkloadID {
+	ids := dst[:0]
 	if ctx.LC != nil {
 		ids = append(ids, ctx.LC.ID())
 	}

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/tieredmem/mtat/internal/damon"
@@ -22,6 +21,7 @@ type RegionMEMTIS struct {
 	AggInterval float64
 
 	monitors map[mem.WorkloadID]*damon.Monitor
+	ids      []mem.WorkloadID // every workload, LC first (Init)
 	lastAgg  float64
 	// ranked holds every region, hottest per-page rate first. A region's
 	// rate and bounds change only when its monitor aggregates, so the
@@ -56,21 +56,19 @@ func (p *RegionMEMTIS) Name() string { return "MEMTIS (regions)" }
 // page range.
 func (p *RegionMEMTIS) Init(ctx *Context) error {
 	clear(p.monitors)
-	for _, id := range workloadIDs(ctx) {
-		pages := ctx.Sys.WorkloadPages(id)
-		if len(pages) == 0 {
-			return fmt.Errorf("policy: workload %d has no pages", id)
-		}
+	p.ids = workloadIDs(p.ids, ctx)
+	for _, id := range p.ids {
+		lo, hi := ctx.Sys.WorkloadRange(id)
 		cfg := p.Damon
 		cfg.Seed += int64(id)
-		m, err := damon.NewMonitor(pages[0], pages[len(pages)-1]+1, cfg)
+		m, err := damon.NewMonitor(lo, hi, cfg)
 		if err != nil {
 			return err
 		}
 		p.monitors[id] = m
 	}
 	p.lastAgg = 0
-	p.rank(workloadIDs(ctx))
+	p.rank(p.ids)
 	return nil
 }
 
@@ -91,8 +89,7 @@ func (p *RegionMEMTIS) rank(ids []mem.WorkloadID) {
 
 // Tick implements Policy.
 func (p *RegionMEMTIS) Tick(ctx *Context) error {
-	sys := ctx.Sys
-	ids := workloadIDs(ctx)
+	sys, ids := ctx.Sys, p.ids
 
 	// Feed this tick's sampled pages into the monitors. (At realistic
 	// sampling rates per-page counts within one tick are almost always

@@ -25,6 +25,7 @@ type TPP struct {
 
 	lastAge float64
 	stall   float64
+	ids     []mem.WorkloadID // every workload, LC first (Init)
 	promote []mem.PageID
 	demote  []mem.PageID
 }
@@ -50,12 +51,14 @@ func NewTPP() *TPP {
 func (t *TPP) Name() string { return "TPP" }
 
 // Init implements Policy.
-func (t *TPP) Init(*Context) error { return nil }
+func (t *TPP) Init(ctx *Context) error {
+	t.ids = workloadIDs(t.ids, ctx)
+	return nil
+}
 
 // Tick implements Policy.
 func (t *TPP) Tick(ctx *Context) error {
-	sys := ctx.Sys
-	ids := workloadIDs(ctx)
+	sys, ids := ctx.Sys, t.ids
 
 	// Fault-driven promotion: every SMem page sampled this tick is a
 	// promotion candidate, newest-touched first. Sampled pages — in

@@ -26,6 +26,7 @@ type VTMM struct {
 	lastDecision float64
 	lastAge      float64
 	targets      map[mem.WorkloadID]int
+	ids          []mem.WorkloadID // every workload, LC first (Init)
 	promote      []mem.PageID
 	demote       []mem.PageID
 }
@@ -49,7 +50,8 @@ func (v *VTMM) Name() string { return "vTMM" }
 // Init implements Policy.
 func (v *VTMM) Init(ctx *Context) error {
 	clear(v.targets)
-	for _, id := range workloadIDs(ctx) {
+	v.ids = workloadIDs(v.ids, ctx)
+	for _, id := range v.ids {
 		v.targets[id] = ctx.Sys.FMemPages(id)
 	}
 	v.lastDecision = 0
@@ -59,8 +61,7 @@ func (v *VTMM) Init(ctx *Context) error {
 
 // Tick implements Policy.
 func (v *VTMM) Tick(ctx *Context) error {
-	sys := ctx.Sys
-	ids := workloadIDs(ctx)
+	sys, ids := ctx.Sys, v.ids
 
 	if ctx.Now-v.lastDecision >= v.IntervalSeconds {
 		v.repartition(sys, ids)

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"github.com/tieredmem/mtat/internal/rng"
 )
 
 // mcDraws is the number of Monte Carlo sojourn draws per tick used to
@@ -19,7 +21,12 @@ const mcDraws = 2048
 
 // Model is the per-workload queue state. It is not safe for concurrent use.
 type Model struct {
-	servers  int
+	servers int
+	seed    int64
+	// src draws the uniforms; rng is a math/rand.Rand on the same stream
+	// for exponential draws and service samplers. In reference mode src
+	// is nil and rng is math/rand's own generator (SetReference).
+	src      *rng.Source
 	rng      *rand.Rand
 	backlog  float64 // requests queued at tick boundary (overload carry)
 	maxDelay float64 // client timeout bound on queueing delay; 0 = none
@@ -31,11 +38,28 @@ type Model struct {
 	refQuantiles bool
 }
 
-// SetReferenceQuantiles switches per-tick quantile extraction to the
-// original full-sort implementation. Both paths return the identical
-// order statistics; the differential harness uses this as the retained
-// reference path.
-func (m *Model) SetReferenceQuantiles(ref bool) { m.refQuantiles = ref }
+// SetReference switches the model to its retained reference paths, the
+// oracle of the differential harness: the full-sort quantiles, and every
+// draw from math/rand's own generator (rng.NewReference) instead of the
+// inlinable copy. Both modes produce identical ticks. Switching restarts
+// the draws at the seed, so call it before the first Tick.
+func (m *Model) SetReference(ref bool) {
+	m.refQuantiles = ref
+	if ref {
+		m.src, m.rng = nil, rng.NewReference(m.seed)
+	} else {
+		m.src = rng.New(m.seed)
+		m.rng = m.src.Rand()
+	}
+}
+
+// uniform draws the next Float64 of the model's stream.
+func (m *Model) uniform() float64 {
+	if m.src == nil {
+		return m.rng.Float64()
+	}
+	return m.src.Float64()
+}
 
 // NewModel returns a queue with the given number of servers (the cores or
 // threads serving the LC workload), seeded deterministically.
@@ -43,9 +67,12 @@ func NewModel(servers int, seed int64) (*Model, error) {
 	if servers <= 0 {
 		return nil, fmt.Errorf("queue: servers must be > 0, got %d", servers)
 	}
+	src := rng.New(seed)
 	return &Model{
 		servers: servers,
-		rng:     rand.New(rand.NewSource(seed)),
+		seed:    seed,
+		src:     src,
+		rng:     src.Rand(),
 	}, nil
 }
 
@@ -178,10 +205,10 @@ func (m *Model) Tick(arrivalRate, dt float64, svc ServiceDist, slo float64) (Tic
 	}
 	draws := m.scratch[:mcDraws]
 	for i := range draws {
-		tau := m.rng.Float64() // arrival position within the tick
+		tau := m.uniform() // arrival position within the tick
 		s := svc.Sample(m.rng)
 		t := s + d0 + (dEnd-d0)*tau
-		if rho < 1 && m.rng.Float64() < pWait {
+		if rho < 1 && m.uniform() < pWait {
 			t += m.rng.ExpFloat64() * condWaitMean
 		}
 		draws[i] = t
@@ -217,7 +244,7 @@ func (m *Model) Tick(arrivalRate, dt float64, svc ServiceDist, slo float64) (Tic
 // Quantiles extracts the P50 and P99 order statistics from one tick's
 // sojourn draws, reordering the slice in place. This is the per-tick
 // quantile kernel: quickselect by default, the original full sort under
-// SetReferenceQuantiles. Both return identical values; it is exported so
+// SetReference. Both return identical values; it is exported so
 // the perf baseline can measure the kernel apart from draw generation.
 func (m *Model) Quantiles(draws []float64) (p50, p99 float64) {
 	if m.refQuantiles {

@@ -32,7 +32,8 @@ func TestSelectKthMatchesSort(t *testing.T) {
 }
 
 // TestTickQuantilesMatchReference runs identical tick sequences through the
-// quickselect and full-sort quantile paths and asserts bit-identical
+// fast paths (quickselect, the inlinable rng copy) and the reference paths
+// (full sort, math/rand's generator) and asserts bit-identical
 // TickResults.
 func TestTickQuantilesMatchReference(t *testing.T) {
 	fast, err := NewModel(4, 11)
@@ -43,7 +44,7 @@ func TestTickQuantilesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetReferenceQuantiles(true)
+	ref.SetReference(true)
 	fast.SetClientTimeout(0.5)
 	ref.SetClientTimeout(0.5)
 
@@ -69,7 +70,7 @@ func BenchmarkTickQuantileRef(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.SetReferenceQuantiles(true)
+	m.SetReference(true)
 	svc := ExponentialService(0.002)
 	b.ReportAllocs()
 	b.ResetTimer()

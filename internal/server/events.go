@@ -54,9 +54,14 @@ type RunStatsDelta struct {
 // Bus returns the manager's event bus (never nil after NewManager).
 func (m *Manager) Bus() *telemetry.EventBus { return m.bus }
 
-// publishRunLocked emits the run's current status as a `run.state`
-// event. Callers hold m.mu.
+// publishRunLocked records the run's current status on the board, where
+// Get reads it, and emits it as a `run.state` event. Callers hold m.mu
+// and call it at every change of a run's status.
 func (m *Manager) publishRunLocked(r *run) {
+	st := r.status()
+	m.boardMu.Lock()
+	m.board[r.id] = st
+	m.boardMu.Unlock()
 	topic := runTopic(r.id)
 	if !m.bus.Active(topic) {
 		return
@@ -65,7 +70,7 @@ func (m *Manager) publishRunLocked(r *run) {
 		Topic:  topic,
 		Kind:   telemetry.EvBusRunState,
 		Tenant: tenant.NameOf(r.tn),
-		Data:   r.status(),
+		Data:   st,
 	})
 }
 

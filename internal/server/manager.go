@@ -165,6 +165,15 @@ type Manager struct {
 	closed    bool
 	recovered int // runs re-enqueued by journal replay at startup
 
+	// board holds each retained run's status as last published, so that
+	// status reads (Get) never wait on mu, which Submit, runOne and
+	// finishLocked hold across their journal appends: with fsync on, a
+	// read behind mu waits for up to three disk flushes per run in
+	// flight. It is written under mu as well, at every state change
+	// (publishRunLocked), and pruned at eviction.
+	boardMu sync.RWMutex
+	board   map[string]RunStatus
+
 	// queue replaces the historical FIFO channel with the weighted
 	// LC-over-BE deficit-round-robin fair queue; it is unbounded, with
 	// admission (QueueCap plus per-tenant quotas) enforced in Submit.
@@ -207,6 +216,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		tenants: cfg.Tenants,
 		queue:   tenant.NewFairQueue[*run](),
 		bus:     cfg.Bus,
+		board:   make(map[string]RunStatus),
 	}
 	if m.bus == nil {
 		m.bus = telemetry.NewEventBus(telemetry.BusConfig{})
@@ -252,6 +262,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 		pending = m.restore()
 		m.recovered = len(pending)
+		m.runs.Each(func(r *run) { m.board[r.id] = r.status() })
 		if stats.Records > 0 || stats.Torn {
 			m.logf("server: journal replay: %d records, %d runs retained, %d re-enqueued, torn=%v",
 				stats.Records, m.runs.Len(), len(pending), stats.Torn)
@@ -440,15 +451,16 @@ func specTicks(spec sim.RunSpec) float64 {
 	return dur / tick
 }
 
-// Get returns a run's status snapshot.
+// Get returns a run's status snapshot: the status its last state change
+// published, read without waiting for the manager lock.
 func (m *Manager) Get(id string) (RunStatus, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.runs.Get(id)
+	m.boardMu.RLock()
+	st, ok := m.board[id]
+	m.boardMu.RUnlock()
 	if !ok {
 		return RunStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return r.status(), nil
+	return st, nil
 }
 
 // List returns every retained run in submission order.
@@ -517,7 +529,9 @@ func (m *Manager) WaitRun(ctx context.Context, id string) (RunStatus, error) {
 	}
 	select {
 	case <-r.done:
-		return m.Get(id)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return r.status(), nil
 	case <-ctx.Done():
 		return RunStatus{}, ctx.Err()
 	}

@@ -403,3 +403,45 @@ func TestManagerMetrics(t *testing.T) {
 		t.Errorf("done counter = %d", got)
 	}
 }
+
+// A status read must not wait on the manager lock, which run submission,
+// start and finish hold across their journal appends (each an fsync with
+// Config.Fsync). The status it returns is the one last published: the
+// run's terminal status once WaitRun returns.
+func TestGetDoesNotWaitOnManagerLock(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1, QueueCap: 8})
+	defer shutdownOrFail(t, m, 60*time.Second)
+	sub, err := m.Submit(shortSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done, err := m.WaitRun(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateDone || done.Result == nil {
+		t.Fatalf("WaitRun returned state %q, result %v; want a done run with its result", done.State, done.Result)
+	}
+
+	got := make(chan RunStatus, 1)
+	m.mu.Lock()
+	go func() {
+		st, err := m.Get(sub.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- st
+	}()
+	select {
+	case st := <-got:
+		m.mu.Unlock()
+		if st.State != StateDone || st.Result == nil || st.Result.Ticks != done.Result.Ticks {
+			t.Errorf("Get under a held manager lock = %+v, want %+v", st, done)
+		}
+	case <-time.After(10 * time.Second):
+		m.mu.Unlock()
+		t.Fatal("Get blocked on the manager lock")
+	}
+}

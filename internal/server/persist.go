@@ -180,6 +180,9 @@ func (m *Manager) snapshot(nextID int, finished []string) any {
 // vanished, so recovery tests can reconcile retained+evicted against
 // submissions.
 func (m *Manager) evicted(id string) {
+	m.boardMu.Lock()
+	delete(m.board, id)
+	m.boardMu.Unlock()
 	m.bus.DropTopic(runTopic(id))
 	m.mEvicted.Inc()
 	m.logf("server: result store full (max %d): evicted oldest finished run %s", m.cfg.MaxRuns, id)

@@ -211,7 +211,7 @@ func NewRunner(scn Scenario, pol policy.Policy) (*Runner, error) {
 		sys.SetReference(true)
 		sampler.SetReference(true)
 		if r.lc != nil {
-			r.lc.Queue().SetReferenceQuantiles(true)
+			r.lc.Queue().SetReference(true)
 		}
 	}
 	r.ctx = &policy.Context{

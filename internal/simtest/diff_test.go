@@ -11,6 +11,7 @@ import (
 	"github.com/tieredmem/mtat/internal/dist"
 	"github.com/tieredmem/mtat/internal/hypothesis"
 	"github.com/tieredmem/mtat/internal/mem"
+	"github.com/tieredmem/mtat/internal/rng"
 	"github.com/tieredmem/mtat/internal/sim"
 )
 
@@ -195,6 +196,40 @@ func TestReferenceCoreReachesFullZipfSearch(t *testing.T) {
 	}
 	if n := dist.ReferenceSearches() - mid; n != 0 {
 		t.Errorf("fast run made %d full Zipf searches, want 0", n)
+	}
+}
+
+// TestReferenceCoreReachesStdlibSource checks that ReferenceCore draws the
+// PEBS samples and the queue model's Monte Carlo draws from math/rand's
+// own generator, the oracle for the inlinable copy in internal/rng, and
+// that the fast core never does. A BE-only run has no queue, so its count
+// proves the sampler's draws alone: at least one per sample. An LC run
+// adds at least two per Monte Carlo draw (the arrival position and the
+// service time). It must not run in parallel: the draw counter is
+// process-wide.
+func TestReferenceCoreReachesStdlibSource(t *testing.T) {
+	load := &sim.LoadSpec{Kind: "constant", Frac: 0.5, DurationSeconds: 5}
+	for _, spec := range []sim.RunSpec{
+		{BEs: []string{"bfs", "xsbench"}, Policy: "memtis", Scale: 32, Seed: 1, DurationSeconds: 5},
+		{LC: "redis", BEs: []string{"bfs"}, Policy: "memtis", Load: load, Scale: 32, Seed: 1},
+	} {
+		before := rng.ReferenceDraws()
+		run, err := RunSpec(context.Background(), spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := rng.ReferenceDraws()
+		core := run.Result.Core
+		if want := uint64(core.PEBSSamples + 2*core.QueueDraws); mid-before < want {
+			t.Errorf("LC %q: reference run drew %d values from math/rand, want >= %d (%d samples, %d queue draws); is ReferenceCore plumbed to the sampler and the queue?",
+				spec.LC, mid-before, want, core.PEBSSamples, core.QueueDraws)
+		}
+		if _, err := RunSpec(context.Background(), spec, false); err != nil {
+			t.Fatal(err)
+		}
+		if n := rng.ReferenceDraws() - mid; n != 0 {
+			t.Errorf("LC %q: fast run drew %d values from math/rand, want 0", spec.LC, n)
+		}
 	}
 }
 

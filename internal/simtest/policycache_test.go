@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tieredmem/mtat/internal/core"
+	"github.com/tieredmem/mtat/internal/dist"
 	"github.com/tieredmem/mtat/internal/loadgen"
 	"github.com/tieredmem/mtat/internal/sim"
 )
@@ -149,6 +150,53 @@ func TestPolicyCacheRunCellsMatchesSerial(t *testing.T) {
 		}
 		if p, s := ResultFingerprint(par[i].Result), ResultFingerprint(ser[i].Result); p != s {
 			t.Errorf("cell %s: workers=4 fingerprint %s, workers=1 %s", cells[i].Label, p, s)
+		}
+	}
+}
+
+// TestSharedZipfRunCellsParallel: cells on parallel workers share the
+// immutable Zipf tables dist.NewZipf hands out, while other goroutines
+// build and evict tables, yet every cell's result equals its serial run
+// byte for byte. Under go test -race it is also the data-race check of
+// the shared tables.
+func TestSharedZipfRunCellsParallel(t *testing.T) {
+	var cells []sim.Cell
+	for i, pol := range []string{"memtis", "tpp", "vtmm", "memtis-region"} {
+		cells = append(cells, sim.Cell{Index: i, Label: pol, Spec: sim.RunSpec{
+			LC: "redis", BEs: []string{"sssp", "pr", "bfs"}, Policy: pol,
+			Load:  &sim.LoadSpec{Kind: "constant", Frac: 0.6, DurationSeconds: 8},
+			Scale: 16, Seed: 3,
+		}})
+	}
+	stop := make(chan struct{})
+	churned := make(chan int)
+	go func() { // churn the table cache while the cells run
+		n := 0
+		for {
+			select {
+			case <-stop:
+				churned <- n
+				return
+			default:
+			}
+			if _, err := dist.NewZipf(100+n%97, 0.7); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
+	par := sim.RunCells(context.Background(), cells, 2, false)
+	close(stop)
+	if n := <-churned; n == 0 {
+		t.Error("the cache churn made no calls")
+	}
+	ser := sim.RunCells(context.Background(), cells, 1, false)
+	for i := range cells {
+		if par[i].Err != nil || ser[i].Err != nil {
+			t.Fatalf("cell %s: parallel err %v, serial err %v", cells[i].Label, par[i].Err, ser[i].Err)
+		}
+		if p, s := ResultFingerprint(par[i].Result), ResultFingerprint(ser[i].Result); p != s {
+			t.Errorf("cell %s: workers=2 fingerprint %s, workers=1 %s", cells[i].Label, p, s)
 		}
 	}
 }

@@ -58,7 +58,9 @@ type DistSpec struct {
 	ScanWeight float64
 }
 
-// build instantiates the distribution over n items.
+// build instantiates the distribution over n items. Zipf tables are
+// shared between workloads of the same shape (dist.NewZipf); a Scan
+// component is stateful, so every build gets its own.
 func (ds DistSpec) build(n int) (dist.Distribution, error) {
 	switch ds.Kind {
 	case DistUniform:
@@ -123,16 +125,8 @@ func (c *hitCache) ratio(sys *mem.System, id mem.WorkloadID) float64 {
 	return c.hit
 }
 
-// hitRatio sums page probabilities over FMem-resident pages.
+// hitRatio sums page probabilities over FMem-resident pages, in
+// allocation order, reading only the FMem occupancy bits of id's pages.
 func hitRatio(sys *mem.System, id mem.WorkloadID, probs []float64) float64 {
-	var h float64
-	for i, pid := range sys.WorkloadPages(id) {
-		if sys.PageInFMem(pid) {
-			h += probs[i]
-		}
-	}
-	if h > 1 {
-		h = 1
-	}
-	return h
+	return min(sys.FMemWeight(id, probs), 1)
 }
