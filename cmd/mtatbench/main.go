@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
 
-	"github.com/tieredmem/mtat/internal/corebench"
 	"github.com/tieredmem/mtat/internal/experiments"
 )
 
@@ -59,7 +57,6 @@ func run() error {
 		verbose  = flag.Bool("v", false, "log progress (training, probing)")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		jsonPath = flag.String("json", "", "write machine-readable results (per-experiment output + timing) to this JSON file")
-		coreBase = flag.String("core-baseline", "", "BENCH_core.json baseline to gate the core experiment against (fails on >2x ns/op or allocs/op regressions)")
 	)
 	flag.Parse()
 
@@ -139,36 +136,5 @@ func run() error {
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
-	if *coreBase != "" {
-		return gateCore(*coreBase, cfg.OutDir)
-	}
 	return nil
-}
-
-// gateCore compares the core experiment's freshly written report against
-// the committed baseline and fails on gross hot-path regressions — the
-// CI perf gate. Requires the core experiment to have run this invocation
-// (its report lives in OutDir).
-func gateCore(baselinePath, outDir string) error {
-	if outDir == "" {
-		return fmt.Errorf("-core-baseline needs -out to locate the current BENCH_core.json")
-	}
-	baseline, err := corebench.ReadReport(baselinePath)
-	if err != nil {
-		return fmt.Errorf("-core-baseline: %w", err)
-	}
-	current, err := corebench.ReadReport(filepath.Join(outDir, "BENCH_core.json"))
-	if err != nil {
-		return fmt.Errorf("-core-baseline: no current report (did the core experiment run?): %w", err)
-	}
-	regs := corebench.Compare(baseline, current, corebench.DefaultFactor)
-	if len(regs) == 0 {
-		fmt.Printf("perf gate: %d benchmarks within %.0fx of %s\n",
-			len(baseline.Results), corebench.DefaultFactor, baselinePath)
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "perf gate: REGRESSION %s\n", r)
-	}
-	return fmt.Errorf("perf gate: %d hot-path regression(s) vs %s", len(regs), baselinePath)
 }

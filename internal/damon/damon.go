@@ -73,6 +73,9 @@ type Monitor struct {
 	start   mem.PageID
 	end     mem.PageID
 	regions []Region
+	// spare is the buffer split builds the next regions into; the two
+	// swap every Aggregate.
+	spare []Region
 	// regionOf[pid-start] is the index in regions of pid's region,
 	// rebuilt whenever the regions change.
 	regionOf []int32
@@ -209,7 +212,10 @@ func (m *Monitor) split() {
 	// preferring hotter regions (scan order approximates this cheaply
 	// because hot regions accumulate more smoothed mass; DAMON itself
 	// splits unconditionally).
-	out := make([]Region, 0, len(m.regions)+budget)
+	if cap(m.spare) < m.cfg.MaxRegions {
+		m.spare = make([]Region, 0, m.cfg.MaxRegions)
+	}
+	out := m.spare[:0]
 	for _, r := range m.regions {
 		if budget > 0 && r.Len() > 1 {
 			cut := 1 + m.rng.Intn(r.Len()-1)
@@ -229,7 +235,7 @@ func (m *Monitor) split() {
 			out = append(out, r)
 		}
 	}
-	m.regions = out
+	m.regions, m.spare = out, m.regions
 }
 
 // HottestPages appends up to n pages from the hottest regions (by

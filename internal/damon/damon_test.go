@@ -218,3 +218,33 @@ func TestRecordAccessMatchesRegionSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateSteadyStateAllocs pins that a steady-state Aggregate
+// allocates nothing: merge works in place and split builds into the spare
+// buffer the previous interval left behind. Uniform accesses keep merging
+// regions back together, so every interval splits below MaxRegions.
+func TestAggregateSteadyStateAllocs(t *testing.T) {
+	m, err := NewMonitor(0, 1000, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	interval := func() {
+		for i := 0; i < 2000; i++ {
+			m.RecordAccess(mem.PageID(rng.Intn(1000)))
+		}
+		m.Aggregate()
+		if m.NumRegions() >= testConfig().MaxRegions {
+			t.Fatalf("regions saturated at %d: split has no budget", m.NumRegions())
+		}
+	}
+	for i := 0; i < 4; i++ { // both buffers reach MaxRegions capacity
+		interval()
+	}
+	if allocs := testing.AllocsPerRun(100, interval); allocs != 0 {
+		t.Fatalf("steady-state Aggregate allocates %.1f times per interval, want 0", allocs)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

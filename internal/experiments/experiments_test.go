@@ -318,24 +318,14 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 }
 
 // suiteGolden renders a RunAll report and the CSVs in outDir as the
-// golden text: the report without the host-timed experiments (core,
-// journal) and with overhead's wall-clock lines masked, then one SHA-256
-// per CSV file.
+// golden text: the report with overhead's wall-clock lines masked, then
+// one SHA-256 per CSV file.
 func suiteGolden(report, outDir string) (string, error) {
-	hostTimed := map[string]bool{"core": true, "journal": true}
 	wallClock := []string{"PP-M compute total:", "PP-M CPU share of 1 core:"}
 	var b strings.Builder
-	skip := false
 	sc := bufio.NewScanner(strings.NewReader(report))
 	for sc.Scan() {
 		line := sc.Text()
-		if id, ok := strings.CutPrefix(line, "==== "); ok {
-			id, _, _ = strings.Cut(id, ":")
-			skip = hostTimed[id]
-		}
-		if skip {
-			continue
-		}
 		for _, prefix := range wallClock {
 			if strings.HasPrefix(line, prefix) {
 				line = prefix + " <wall clock>"

@@ -34,8 +34,6 @@ func All() []Experiment {
 		{"surge", "Extension: instant demand-surge response", runSurge},
 		{"extended", "Extension: §6 related-work alternatives (vTMM, heuristic)", runExtended},
 		{"monitoring", "Extension: per-page vs DAMON-region monitoring", runMonitoring},
-		{"journal", "Infrastructure: crash-safety journal append/replay cost", runJournal},
-		{"core", "Infrastructure: simulator-core hot-path perf baseline", runCore},
 	}
 }
 

@@ -236,7 +236,9 @@ func (s *System) AddWorkload(rssBytes int64, preferred Tier) (WorkloadID, error)
 	s.accounts = append(s.accounts, workloadAccount{total: n})
 	lo := len(s.owners)
 	s.byOwner = append(s.byOwner, make([]PageID, n))
+	s.owners = append(s.owners, make([]WorkloadID, n)...)
 	s.hot = append(s.hot, make([]uint64, n)...)
+	s.hotEpoch = append(s.hotEpoch, make([]uint32, n)...)
 	words := (lo + n + 63) >> 6
 	s.fmemBits = append(s.fmemBits, make([]uint64, words-len(s.fmemBits))...)
 	s.addToIndex(id, lo, n, words)
@@ -249,8 +251,8 @@ func (s *System) AddWorkload(rssBytes int64, preferred Tier) (WorkloadID, error)
 			tier = TierFMem // SMem exhausted; spill to FMem
 		}
 		pid := PageID(lo + i)
-		s.owners = append(s.owners, id)
-		s.hotEpoch = append(s.hotEpoch, s.epoch)
+		s.owners[pid] = id
+		s.hotEpoch[pid] = s.epoch
 		s.byOwner[id][i] = pid
 		if tier == TierFMem {
 			s.setFMemBit(pid)

@@ -139,6 +139,27 @@ func TestAddWorkloadRoundsUp(t *testing.T) {
 	}
 }
 
+// TestAddWorkloadAllocsFlat pins that AddWorkload sizes its per-page
+// state once per workload: registering 1<<16 pages allocates no more
+// often than registering 16.
+func TestAddWorkloadAllocsFlat(t *testing.T) {
+	cfg := DefaultConfig()
+	allocs := func(pages int64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AddWorkload(pages*cfg.PageSize, TierFMem); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(1<<16); large != small {
+		t.Fatalf("AddWorkload allocations: %.0f for 16 pages, %.0f for 1<<16, want equal", small, large)
+	}
+}
+
 func TestBytesPagesConversion(t *testing.T) {
 	s := newTestSystem(t)
 	if got := s.BytesToPages(0); got != 0 {

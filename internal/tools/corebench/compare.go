@@ -1,4 +1,4 @@
-package corebench
+package main
 
 import (
 	"encoding/json"
@@ -7,13 +7,13 @@ import (
 	"os"
 )
 
-// DefaultFactor is the regression gate: a benchmark fails when its ns/op
+// Factor is the regression gate: a benchmark fails when its ns/op
 // or allocs/op exceeds this multiple of the committed baseline. The gate
 // is deliberately coarse — micro-benchmarks on shared CI runners jitter
 // by tens of percent, and the baseline exists to catch accidental
 // algorithmic regressions (a new allocation per tick, an O(n) scan gone
 // O(n²)), not single-digit drift.
-const DefaultFactor = 2.0
+const Factor = 2.0
 
 // allocSlack is the absolute allocs/op a benchmark may gain before the
 // factor gate applies: zero-alloc baselines would otherwise turn any
@@ -40,13 +40,10 @@ func (r Regression) String() string {
 }
 
 // Compare gates current against baseline: every baseline benchmark must
-// still exist and stay within factor× on ns/op and allocs/op (factor
-// <= 0 selects DefaultFactor). Benchmarks only present in current are
-// ignored — adding coverage must not fail the gate.
-func Compare(baseline, current Report, factor float64) []Regression {
-	if factor <= 0 {
-		factor = DefaultFactor
-	}
+// still exist and stay within Factor× on ns/op and allocs/op.
+// Benchmarks only present in current are ignored — adding coverage must
+// not fail the gate.
+func Compare(baseline, current Report) []Regression {
 	var regs []Regression
 	for _, base := range baseline.Results {
 		cur, ok := current.Find(base.Name)
@@ -54,14 +51,14 @@ func Compare(baseline, current Report, factor float64) []Regression {
 			regs = append(regs, Regression{Name: base.Name, Metric: "missing", Baseline: base.NsPerOp})
 			continue
 		}
-		if base.NsPerOp > 0 && cur.NsPerOp > factor*base.NsPerOp {
+		if base.NsPerOp > 0 && cur.NsPerOp > Factor*base.NsPerOp {
 			regs = append(regs, Regression{
 				Name: base.Name, Metric: "ns/op",
 				Baseline: base.NsPerOp, Current: cur.NsPerOp,
 				Ratio: cur.NsPerOp / base.NsPerOp,
 			})
 		}
-		if ba, ca := base.AllocsPerOp, cur.AllocsPerOp; ca > ba+allocSlack && float64(ca) > factor*float64(ba) {
+		if ba, ca := base.AllocsPerOp, cur.AllocsPerOp; ca > ba+allocSlack && float64(ca) > Factor*float64(ba) {
 			regs = append(regs, Regression{
 				Name: base.Name, Metric: "allocs/op",
 				Baseline: float64(ba), Current: float64(ca),
@@ -88,14 +85,7 @@ func ReadReport(path string) (Report, error) {
 	}
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return Report{}, fmt.Errorf("corebench: parse %s: %w", path, err)
+		return Report{}, fmt.Errorf("parse %s: %w", path, err)
 	}
 	return r, nil
-}
-
-func max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,12 +1,19 @@
-// Package corebench micro-benchmarks the simulator-core hot paths — page
-// migration, hotness aging and the hotness-ranked partition split (mem), Zipf
-// draws (dist), PEBS sampling (pebs), the queue-model tick (queue), and
-// recording a flight event into the run trace — at a fixed geometry,
-// independent of the experiment Scale, so numbers stay comparable across
-// -quick and full runs. The resulting report is the repo's perf baseline
-// (BENCH_core.json): CI re-runs the suite on every PR and fails on
-// gross (>2×) ns/op or allocs/op regressions via Compare.
-package corebench
+// Command corebench micro-benchmarks the simulator-core hot paths — page
+// migration, hotness aging and the hotness-ranked partition split (mem),
+// Zipf draws (dist), PEBS sampling (pebs), the queue-model tick (queue),
+// and recording a flight event into the run trace — at a fixed geometry,
+// so numbers stay comparable across runs. It is the repo's one host-timed
+// benchmark runner; its report is the perf baseline (BENCH_core.json):
+// CI re-runs it on every PR and fails on gross (>2×) ns/op or allocs/op
+// regressions via Compare.
+//
+// Usage:
+//
+//	corebench [-out dir] [-baseline BENCH_core.json]
+//
+// -out writes dir/BENCH_core.json; -baseline gates this run's report
+// against a committed one and exits 1 on any regression.
+package main
 
 import (
 	"fmt"
@@ -21,8 +28,8 @@ import (
 	"github.com/tieredmem/mtat/internal/telemetry"
 )
 
-// Fixed benchmark geometry. Deliberately NOT derived from the experiment
-// Scale: a perf baseline is only comparable if every run measures the
+// Fixed benchmark geometry. Deliberately NOT derived from any experiment
+// scale: a perf baseline is only comparable if every run measures the
 // same work.
 const (
 	benchPageSize  = 4 << 20  // 4 MiB bookkeeping pages
@@ -92,9 +99,9 @@ func Benches() []Bench {
 	}
 }
 
-// Run executes the full suite and assembles the report. Each benchmark
-// runs under testing.Benchmark (~1 s of measurement per entry).
-func Run() Report {
+// Measure executes the full suite and assembles the report. Each
+// benchmark runs under testing.Benchmark (~1 s of measurement per entry).
+func Measure() Report {
 	var rep Report
 	for _, b := range Benches() {
 		res := testing.Benchmark(b.Run)
