@@ -10,6 +10,7 @@ package queue
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/tieredmem/mtat/internal/rng"
@@ -23,42 +24,32 @@ const mcDraws = 2048
 type Model struct {
 	servers int
 	seed    int64
-	// src draws the uniforms; rng is a math/rand.Rand on the same stream
-	// for exponential draws and service samplers. In reference mode src
-	// is nil and rng is math/rand's own generator (SetReference).
+	// src draws every Monte Carlo value. In reference mode src is nil and
+	// ref, math/rand's own generator, draws them instead (SetReference).
 	src      *rng.Source
-	rng      *rand.Rand
+	ref      *rand.Rand
 	backlog  float64 // requests queued at tick boundary (overload carry)
 	maxDelay float64 // client timeout bound on queueing delay; 0 = none
 	ticks    int64   // cumulative Tick calls
 	draws    int64   // cumulative Monte Carlo sojourn draws
 	scratch  []float64
-	// refQuantiles selects the original full-sort quantile path; the
-	// default quickselect path returns the same order statistics.
-	refQuantiles bool
+	// sel and hist are the bucket quantile kernel's scratch (Quantiles).
+	sel  []float64
+	hist [quantileBuckets]uint32
 }
 
 // SetReference switches the model to its retained reference paths, the
 // oracle of the differential harness: the full-sort quantiles, and every
-// draw from math/rand's own generator (rng.NewReference) instead of the
-// inlinable copy. Both modes produce identical ticks. Switching restarts
-// the draws at the seed, so call it before the first Tick.
+// draw from math/rand's own generator (rng.NewReference) and its
+// ExpFloat64 instead of the inlinable copy. Both modes produce identical
+// ticks. Switching restarts the draws at the seed, so call it before the
+// first Tick.
 func (m *Model) SetReference(ref bool) {
-	m.refQuantiles = ref
 	if ref {
-		m.src, m.rng = nil, rng.NewReference(m.seed)
+		m.src, m.ref = nil, rng.NewReference(m.seed)
 	} else {
-		m.src = rng.New(m.seed)
-		m.rng = m.src.Rand()
+		m.src, m.ref = rng.New(m.seed), nil
 	}
-}
-
-// uniform draws the next Float64 of the model's stream.
-func (m *Model) uniform() float64 {
-	if m.src == nil {
-		return m.rng.Float64()
-	}
-	return m.src.Float64()
 }
 
 // NewModel returns a queue with the given number of servers (the cores or
@@ -67,12 +58,10 @@ func NewModel(servers int, seed int64) (*Model, error) {
 	if servers <= 0 {
 		return nil, fmt.Errorf("queue: servers must be > 0, got %d", servers)
 	}
-	src := rng.New(seed)
 	return &Model{
 		servers: servers,
 		seed:    seed,
-		src:     src,
-		rng:     src.Rand(),
+		src:     rng.New(seed),
 	}, nil
 }
 
@@ -126,30 +115,35 @@ type TickResult struct {
 }
 
 // ServiceDist describes the per-request service time distribution for a
-// tick: Mean and the squared coefficient of variation (variance/mean²).
-// Sample must draw one service time consistent with those moments.
+// tick: a fixed part plus an exponential share V of the mean, so a
+// request's service time is Mean*((1-V) + V*Exp(1)) and its squared
+// coefficient of variation is V². V = 0 is deterministic and draws
+// nothing.
 type ServiceDist struct {
-	Mean   float64
-	CV2    float64
-	Sample func(rng *rand.Rand) float64
+	Mean float64
+	V    float64 // exponential share, in [0, 1]
 }
+
+// CV2 returns the squared coefficient of variation (variance/mean²).
+func (d ServiceDist) CV2() float64 { return d.V * d.V }
 
 // DeterministicService returns a ServiceDist for a fixed service time.
 func DeterministicService(s float64) ServiceDist {
-	return ServiceDist{
-		Mean:   s,
-		CV2:    0,
-		Sample: func(*rand.Rand) float64 { return s },
-	}
+	return ServiceDist{Mean: s}
 }
 
 // ExponentialService returns a ServiceDist with exponential service times.
 func ExponentialService(mean float64) ServiceDist {
-	return ServiceDist{
-		Mean:   mean,
-		CV2:    1,
-		Sample: func(rng *rand.Rand) float64 { return rng.ExpFloat64() * mean },
+	return ServiceDist{Mean: mean, V: 1}
+}
+
+// sample draws one service time from r. It is the reference loop's
+// sampler; the fast loop in Tick repeats it on the model's rng.Source.
+func (d ServiceDist) sample(r *rand.Rand) float64 {
+	if d.V == 0 {
+		return d.Mean
 	}
+	return d.Mean * ((1 - d.V) + d.V*r.ExpFloat64())
 }
 
 // Tick advances the queue by dt seconds with Poisson arrivals at
@@ -163,8 +157,8 @@ func (m *Model) Tick(arrivalRate, dt float64, svc ServiceDist, slo float64) (Tic
 	if arrivalRate < 0 {
 		return TickResult{}, fmt.Errorf("queue: arrivalRate must be >= 0, got %g", arrivalRate)
 	}
-	if svc.Mean <= 0 || svc.Sample == nil {
-		return TickResult{}, fmt.Errorf("queue: service distribution needs Mean > 0 and a Sample func")
+	if !(svc.Mean > 0) || !(svc.V >= 0 && svc.V <= 1) {
+		return TickResult{}, fmt.Errorf("queue: service distribution needs Mean > 0 and V in [0, 1], got %+v", svc)
 	}
 
 	c := float64(m.servers)
@@ -195,29 +189,28 @@ func (m *Model) Tick(arrivalRate, dt float64, svc ServiceDist, slo float64) (Tic
 	var pWait, condWaitMean float64
 	if rho < 1 {
 		pWait = erlangC(m.servers, rho)
-		condWaitMean = svc.Mean * (1 + svc.CV2) / 2 / (c * (1 - rho))
+		condWaitMean = svc.Mean * (1 + svc.CV2()) / 2 / (c * (1 - rho))
 	}
 
-	var sum float64
-	var violations int
 	if cap(m.scratch) < mcDraws {
 		m.scratch = make([]float64, mcDraws)
 	}
 	draws := m.scratch[:mcDraws]
-	for i := range draws {
-		tau := m.uniform() // arrival position within the tick
-		s := svc.Sample(m.rng)
-		t := s + d0 + (dEnd-d0)*tau
-		if rho < 1 && m.uniform() < pWait {
-			t += m.rng.ExpFloat64() * condWaitMean
-		}
-		draws[i] = t
-		sum += t
-		if slo > 0 && t > slo {
-			violations++
-		}
+	d := sojourn{
+		svc: svc, d0: d0, ramp: dEnd - d0,
+		waits: rho < 1, pWait: pWait, condWaitMean: condWaitMean,
+		slo: slo,
 	}
-	p50, p99 := m.Quantiles(draws)
+	var sum, p50, p99 float64
+	var violations int
+	if m.ref != nil {
+		sum, violations = d.drawRef(m.ref, draws)
+		p50, p99 = m.Quantiles(draws)
+	} else {
+		var lo, hi uint64
+		sum, violations, lo, hi = d.draw(m.src, draws)
+		p50, p99 = m.bucketQuantiles(draws, lo, hi)
+	}
 	res := TickResult{
 		Completed:   completed,
 		Offered:     offered,
@@ -241,18 +234,170 @@ func (m *Model) Tick(arrivalRate, dt float64, svc ServiceDist, slo float64) (Tic
 	return res, nil
 }
 
+// sojourn holds one tick's Monte Carlo parameters. A draw is the arrival
+// position tau, then a service time (none when svc.V == 0), then, in the
+// stable regime, the wait coin and an exponential wait if it lands.
+type sojourn struct {
+	svc          ServiceDist
+	d0, ramp     float64 // backlog delay at the tick's start, and its change over the tick
+	waits        bool    // stable regime: draw the Erlang-C wait
+	pWait        float64
+	condWaitMean float64
+	slo          float64
+}
+
+// draw fills draws on the inlinable source and returns their sum, the
+// number above the SLO, and the smallest and largest bit patterns among
+// them (bitRange, for the quantile kernel).
+func (d *sojourn) draw(src *rng.Source, draws []float64) (sum float64, violations int, lo, hi uint64) {
+	mean, v := d.svc.Mean, d.svc.V
+	lo = math.MaxUint64
+	for i := range draws {
+		tau := src.Float64() // arrival position within the tick
+		s := mean
+		if v != 0 {
+			j := src.Uint32()
+			e, ok := rng.ExpFast(j)
+			if !ok {
+				e = src.ExpSlow(j)
+			}
+			s = mean * ((1 - v) + v*e)
+		}
+		t := s + d.d0 + d.ramp*tau
+		if d.waits && src.Float64() < d.pWait {
+			j := src.Uint32()
+			e, ok := rng.ExpFast(j)
+			if !ok {
+				e = src.ExpSlow(j)
+			}
+			t += e * d.condWaitMean
+		}
+		draws[i] = t
+		sum += t
+		if d.slo > 0 && t > d.slo {
+			violations++
+		}
+		b := math.Float64bits(t)
+		lo = min(lo, b)
+		hi = max(hi, b)
+	}
+	return sum, violations, lo, hi
+}
+
+// drawRef is draw on math/rand's own generator, the reference loop.
+func (d *sojourn) drawRef(r *rand.Rand, draws []float64) (sum float64, violations int) {
+	for i := range draws {
+		tau := r.Float64() // arrival position within the tick
+		t := d.svc.sample(r) + d.d0 + d.ramp*tau
+		if d.waits && r.Float64() < d.pWait {
+			t += r.ExpFloat64() * d.condWaitMean
+		}
+		draws[i] = t
+		sum += t
+		if d.slo > 0 && t > d.slo {
+			violations++
+		}
+	}
+	return sum, violations
+}
+
 // Quantiles extracts the P50 and P99 order statistics from one tick's
-// sojourn draws, reordering the slice in place. This is the per-tick
-// quantile kernel: quickselect by default, the original full sort under
-// SetReference. Both return identical values; it is exported so
-// the perf baseline can measure the kernel apart from draw generation.
+// sojourn draws; it may reorder the slice. This is the per-tick quantile
+// kernel: the bucket kernel (bucketQuantiles) by default, the original
+// full sort under SetReference. Both return identical values; it is
+// exported so the perf baseline can measure the kernel apart from draw
+// generation.
 func (m *Model) Quantiles(draws []float64) (p50, p99 float64) {
-	if m.refQuantiles {
+	if m.ref != nil {
 		sortFloats(draws)
 		return quantileSorted(draws, 0.50), quantileSorted(draws, 0.99)
 	}
-	return selectKth(draws, quantileIndex(len(draws), 0.50)),
-		selectKth(draws, quantileIndex(len(draws), 0.99))
+	lo, hi := bitRange(draws)
+	return m.bucketQuantiles(draws, lo, hi)
+}
+
+// bitRange returns the smallest and largest bit patterns in a.
+func bitRange(a []float64) (lo, hi uint64) {
+	lo = math.MaxUint64
+	for _, x := range a {
+		b := math.Float64bits(x)
+		lo = min(lo, b)
+		hi = max(hi, b)
+	}
+	return lo, hi
+}
+
+// quantileBuckets is the bucket kernel's histogram size.
+const (
+	quantileBits    = 11
+	quantileBuckets = 1 << quantileBits
+)
+
+// bucketQuantiles is the default quantile kernel: it returns the P50 and
+// P99 order statistics of a, given lo and hi, the smallest and largest bit
+// patterns in a (bitRange). Non-negative finite float64s order exactly as
+// their bit patterns do, so one pass counts a into at most quantileBuckets
+// equal-width buckets of pattern offsets from lo, a scan from each end
+// finds the buckets holding the two ranks, and a second pass copies those
+// two buckets out so selectKth runs only inside them. A negative draw (−0
+// included), +Inf or NaN has a pattern at or above +Inf's, and sends the
+// whole buffer to selectKth.
+func (m *Model) bucketQuantiles(a []float64, lo, hi uint64) (p50, p99 float64) {
+	k50, k99 := quantileIndex(len(a), 0.50), quantileIndex(len(a), 0.99)
+	if len(a) == 0 || hi >= math.Float64bits(math.Inf(1)) {
+		return selectKth(a, k50), selectKth(a, k99)
+	}
+	if lo == hi {
+		return a[0], a[0]
+	}
+	shift := uint(max(bits.Len64(hi-lo)-quantileBits, 0))
+	top := int((hi - lo) >> shift) // < quantileBuckets
+	h := &m.hist
+	clear(h[:top+1])
+	for _, x := range a {
+		h[(math.Float64bits(x)-lo)>>shift&(quantileBuckets-1)]++
+	}
+	// below50 counts the draws in buckets before b50, above99 those after b99.
+	b50, below50 := 0, 0
+	for below50+int(h[b50]) <= k50 {
+		below50 += int(h[b50])
+		b50++
+	}
+	b99, above99 := top, 0
+	for above99+int(h[b99]) < len(a)-k99 {
+		above99 += int(h[b99])
+		b99--
+	}
+	n50, n99 := int(h[b50]), int(h[b99])
+	r50, r99 := k50-below50, k99-(len(a)-above99-n99) // ranks inside the buckets
+	shared := b50 == b99
+	if shared { // gather the one bucket once
+		b99, n99 = -1, 0
+	}
+	// Bucket b50's draws go to sel[:n50] and b99's to sel[n50+1:]. Every
+	// draw is stored at both write positions, branch-free, but only a
+	// member advances its bucket's; each region has one spare slot.
+	if cap(m.sel) < len(a)+2 {
+		m.sel = make([]float64, len(a)+2)
+	}
+	sel := m.sel[:n50+n99+2]
+	w50, w99 := 0, n50+1
+	for _, x := range a {
+		k := int((math.Float64bits(x) - lo) >> shift)
+		sel[w50] = x
+		if k == b50 {
+			w50++
+		}
+		sel[w99] = x
+		if k == b99 {
+			w99++
+		}
+	}
+	s50 := sel[:n50]
+	if shared {
+		return selectKth(s50, r50), selectKth(s50, r99)
+	}
+	return selectKth(s50, r50), selectKth(sel[n50+1:n50+1+n99], r99)
 }
 
 // StationaryP99 returns the analytic steady-state P99 sojourn time for the
@@ -266,13 +411,13 @@ func (m *Model) StationaryP99(arrivalRate float64, svc ServiceDist) float64 {
 		return math.Inf(1)
 	}
 	pWait := erlangC(m.servers, rho)
-	condWaitMean := svc.Mean * (1 + svc.CV2) / 2 / (c * (1 - rho))
+	condWaitMean := svc.Mean * (1 + svc.CV2()) / 2 / (c * (1 - rho))
 	// P(T > x) ~= P(S > x-ish) combined with waiting tail. With service
 	// far smaller than the tail target, waiting dominates:
 	// P(W > x) = pWait * exp(-x/condWaitMean)  =>  x such that P = 0.01.
 	if pWait <= 0.01 {
 		// Waiting almost never happens; P99 is essentially service.
-		return svc.Mean * (1 + 2*math.Sqrt(svc.CV2))
+		return svc.Mean * (1 + 2*math.Sqrt(svc.CV2()))
 	}
 	w99 := condWaitMean * math.Log(pWait/0.01)
 	if w99 < 0 {

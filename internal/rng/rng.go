@@ -1,10 +1,11 @@
 // Package rng is an inlinable copy of math/rand's default source.
 // New(seed) yields exactly the stream of rand.NewSource(seed), and Source's
-// Float64, Int63 and Intn repeat math/rand.Rand's arithmetic, so a hot loop
-// can draw through direct, inlinable calls instead of the interface
-// dispatch inside rand.Rand without changing a single value. Source
-// implements rand.Source64, so the draws it does not copy (ExpFloat64,
-// NormFloat64) stay on a rand.Rand over the same state (Source.Rand).
+// Float64, Int63, Uint32, Intn and ExpFloat64 repeat math/rand.Rand's
+// arithmetic (ExpFloat64 with the stdlib's ziggurat tables, exp.go), so a
+// hot loop can draw through direct, inlinable calls instead of the
+// interface dispatch inside rand.Rand without changing a single value.
+// Source implements rand.Source64, so the one draw it does not copy
+// (NormFloat64) stays on a rand.Rand over the same state (Source.Rand).
 //
 // math/rand's source is the additive lagged Fibonacci generator
 // y[k] = y[k-607] + y[k-273] (mod 2^64). Source takes the first 607
@@ -85,6 +86,9 @@ func (s *Source) Uint64() uint64 {
 // Int63 implements rand.Source.
 func (s *Source) Int63() int64 { return int64(s.Uint64() & mask) }
 
+// Uint32 returns rand.Rand.Uint32's next value on this stream.
+func (s *Source) Uint32() uint32 { return uint32(s.Int63() >> 31) }
+
 // Float64 returns rand.Rand.Float64's next value on this stream: a float in
 // [0, 1), redrawn in the rare case the division rounds to 1.
 func (s *Source) Float64() float64 {
@@ -118,8 +122,8 @@ func (s *Source) int31n(n int32) int32 {
 	return v % n
 }
 
-// Rand returns a math/rand.Rand drawing from s, for the draws Source does
-// not copy (ExpFloat64, NormFloat64) and for code that takes a *rand.Rand.
+// Rand returns a math/rand.Rand drawing from s, for the draw Source does
+// not copy (NormFloat64) and for code that takes a *rand.Rand.
 // Its draws and s's own interleave on one stream.
 func (s *Source) Rand() *rand.Rand { return s.std }
 

@@ -351,10 +351,12 @@ func benchQuantileDraws() []float64 {
 }
 
 // benchQueueQuantile measures the per-tick quantile kernel in isolation
-// (quickselect for P50 then P99). Tick-level numbers are dominated by
-// draw generation, which both quantile paths share; this pair isolates
-// the sort→select swap. The pristine buffer is re-copied each iteration
-// because the kernel reorders it in place.
+// (the bucket kernel: count into bit-pattern buckets, then quickselect
+// inside the two buckets holding P50 and P99). Tick-level numbers are
+// dominated by draw generation, which both quantile paths share; this
+// pair isolates the kernel from the full sort. The pristine buffer is
+// re-copied each iteration because the reference sort reorders it in
+// place.
 func benchQueueQuantile(b *testing.B) {
 	m, err := queue.NewModel(16, benchSeed)
 	if err != nil {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/tieredmem/mtat/internal/dist"
 	"github.com/tieredmem/mtat/internal/mem"
@@ -131,14 +130,7 @@ func (lc *LC) ServiceDist(hit, extraStall float64) queue.ServiceDist {
 	mean := lc.cfg.CPUSeconds +
 		float64(lc.cfg.MemTouches)*(hit*latF+(1-hit)*latS) +
 		extraStall
-	v := lc.cfg.ServiceVar
-	return queue.ServiceDist{
-		Mean: mean,
-		CV2:  v * v,
-		Sample: func(rng *rand.Rand) float64 {
-			return mean * ((1 - v) + v*rng.ExpFloat64())
-		},
-	}
+	return queue.ServiceDist{Mean: mean, V: lc.cfg.ServiceVar}
 }
 
 // TickResult extends the queue result with the access count the workload

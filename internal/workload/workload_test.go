@@ -251,7 +251,7 @@ func TestLCServiceDistMoments(t *testing.T) {
 	if math.Abs(sStall.Mean-(s1.Mean+5e-6)) > 1e-12 {
 		t.Errorf("stall not added: %g vs %g", sStall.Mean, s1.Mean+5e-6)
 	}
-	if got := s1.CV2; math.Abs(got-0.25) > 1e-9 {
+	if got := s1.CV2(); math.Abs(got-0.25) > 1e-9 {
 		t.Errorf("CV2 = %g, want 0.25 for ServiceVar 0.5", got)
 	}
 }
@@ -475,5 +475,27 @@ func TestLCClientTimeoutDefault(t *testing.T) {
 	}
 	if last2.P99 > 0.03 {
 		t.Errorf("tight timeout P99 = %g, want < 30ms", last2.P99)
+	}
+}
+
+// LC.Tick and the knee search allocate nothing per tick or per bisection
+// step: the service distribution is a value.
+func TestLCTickDoesNotAllocate(t *testing.T) {
+	sys := smallSystem(t)
+	cfg := RedisConfig()
+	cfg.RSSBytes = 8 << 20
+	lc, err := NewLC(sys, cfg, mem.TierFMem, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := lc.Tick(0.5, 0.1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("allocs per LC.Tick = %g, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { lc.MaxStableLoadFrac(0.8, 0) }); n != 0 {
+		t.Errorf("allocs per MaxStableLoadFrac = %g, want 0", n)
 	}
 }
